@@ -232,3 +232,63 @@ def coeff_B(n: float, l: float, y: float) -> float:
         + (n - l) * math.log1p(-y)
     )
     return math.exp(logv)
+
+
+def _binom_nb_mixture(rows, cols, b: float, q: float, r: float) -> np.ndarray:
+    """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at rows x cols,
+    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n (1 - q)^k and NB(.; 0, q)
+    the point mass at 0: a b-thinning of i plus an independent NB(r, q) count.
+    Every term is positive, so one matrix product is accurate everywhere."""
+    i = np.asarray(rows, dtype=float)[:, None]
+    j = np.asarray(cols, dtype=float)[None, :]
+    n = np.arange(i.max() + 1.0)
+    nn = n[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_m = log_gamma(i + 1.0) - log_gamma(n + 1.0) - log_gamma(i - n + 1.0) \
+            + n * math.log(b) + (i - n) * math.log1p(-b)
+        log_k = log_gamma(j + r) - log_gamma(nn + r) - log_gamma(j - nn + 1.0) \
+            + (nn + r) * math.log(q) + (j - nn) * math.log1p(-q)
+    m = np.where(n <= i, np.exp(log_m), 0.0)
+    k = np.where(nn <= j, np.exp(log_k), 0.0)
+    if r == 0.0:
+        k[0] = j[0] == 0.0
+    return m @ k
+
+
+def _binom_nb_rows(rows, j_max: int, b: float, q: float, r: float) -> np.ndarray:
+    """``_binom_nb_mixture`` at j = 0..j_max, the coefficients of the pgf
+    q^r u(s)^i v(s)^-(i+r) with u = (1 - b) + (b - c) s, v = 1 - c s, c = 1 - q.
+
+    As u v P' = [i (b - c) v + c (i + r) u] P, each row obeys a three-term
+    recurrence in j whose wanted solution grows like c^j and whose other one
+    like ((b - c) / (1 - b))^j.  Run forward it is stable exactly when
+    d = 2c - b(1 + c) > 0 (Gautschi 1967); there the ratios p_{j+1} / p_j
+    of all rows are carried at once and summed in logs from the exact
+    log p_0, so a p_0 that underflows does not zero its row.  Elsewhere the
+    positive mixture is used.  Every row needs i + r > 0.
+    """
+    c = 1.0 - q
+    d = 2.0 * c - b * (1.0 + c)
+    if d <= 0.0:
+        return _binom_nb_mixture(rows, np.arange(j_max + 1), b, q, r)
+    u0 = 1.0 - b
+    i = np.asarray(rows, dtype=float)
+    logp = np.empty((j_max + 1, i.size))
+    logp[0] = r * math.log(q) + i * math.log1p(-b)
+    if j_max:
+        # (j + 1) u0 p_{j+1} = (i b q + c r u0 + d j) p_j + c (b - c) (r + j - 1) p_{j-1};
+        # i b q is i (b - c + c u0) written without cancellation
+        j = np.arange(j_max, dtype=float)
+        inv = 1.0 / (u0 * (j + 1.0))
+        tail = (c * (b - c) * (r + j - 1.0) * inv).tolist()
+        rho = logp[1:]  # the p_j terms over (j + 1) u0, then p_{j+1} / p_j
+        rho[:] = (d * j)[:, None]
+        rho += i * (b * q) + c * r * u0
+        rho *= inv[:, None]
+        step = np.empty(i.size)
+        for k in range(1, j_max):
+            np.divide(tail[k], rho[k - 1], out=step)
+            rho[k] += step
+        np.log(rho, out=rho)
+    np.cumsum(logp, axis=0, out=logp)
+    return np.exp(logp, out=logp).T

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .distributions import (
-    NBParams,
-    ParameterError,
-    nb_central_moments,
-    nb_pmf_vector,
-    nb_support_bound,
-)
+from .distributions import ParameterError, nb_central_moments
 from .process import Series, transition_rows
 from .thinning import ModelParams, g_central_moments
 
@@ -224,24 +218,25 @@ def cls_variances(series: Series, means: MeanEstimates | None = None, *,
 
 
 def _expectations_rx(p: ModelParams) -> tuple[float, float, float]:
-    """E[R(X) X^m] for m = 2, 1, 0 by truncated pmf summation.
+    """E[R(X) X^m] for m = 2, 1, 0 in closed form.
 
     R(x) = 2 sigma_G^4 x^2 + (m4_G + 4 sigma_G^2 sigma_eps^2 - 3 sigma_G^4) x
            + (m4_eps - sigma_eps^4)
     is the conditional variance of the squared residual given X_{t-1} = x.
+    The raw moments E[X^k], k <= 4, follow from the factorial moments
+    F_k = Gamma(r + k) / Gamma(r) (mu / r)^k of X ~ NB(r, mu).
     """
     _, sg2, _, g_m4 = g_central_moments(p)
     _, se2, _, e_m4 = nb_central_moments(p.innovation())
     c2 = 2.0 * sg2 * sg2
     c1 = g_m4 + 4.0 * sg2 * se2 - 3.0 * sg2 * sg2
     c0 = e_m4 - se2 * se2
-    marginal = p.marginal()
-    # degree-4 polynomial weight: tighten the geometric tail rule accordingly
-    kmax = nb_support_bound(marginal, 1e-18)
-    k = np.arange(kmax + 1, dtype=float)
-    pmf = nb_pmf_vector(marginal, kmax)
-    rx = (c2 * k * k + c1 * k + c0) * pmf
-    return float(rx @ (k * k)), float(rx @ k), float(rx.sum())
+    f = [1.0]
+    for k in range(4):
+        f.append(f[-1] * (p.r + k) * p.mu / p.r)
+    ex = (1.0, f[1], f[2] + f[1], f[3] + 3.0 * f[2] + f[1],
+          f[4] + 6.0 * f[3] + 7.0 * f[2] + f[1])
+    return tuple(c2 * ex[m + 2] + c1 * ex[m + 1] + c0 * ex[m] for m in (2, 1, 0))
 
 
 def predicted_cov(p: ModelParams) -> CovMatrices:

@@ -3,27 +3,25 @@
 The recursion is X_{t+1} = thin(X_t) + eps_{t+1} where thin applies the
 (alpha, mu, r) operator and the innovations are iid NB(r, (1 - alpha) mu).
 Started from X_0 ~ NB(r, mu) the process is strictly stationary with NB(r, mu)
-marginal, autocorrelation alpha^k, and explicit h-step transition laws built
-from the kernels coeff_A and coeff_B.
+marginal, autocorrelation alpha^k, and h-step transition laws in closed form:
+``conditional_pgf`` gives their pgf and ``transition_rows`` their
+probabilities.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import (
-    NBParams,
     ParameterError,
+    _binom_nb_mixture,
+    _binom_nb_rows,
     _check_count,
     _check_unit_interval,
-    coeff_A,
-    coeff_B,
-    log_gamma,
     nb_sample,
     nb_support_bound,
 )
@@ -45,6 +43,8 @@ __all__ = [
     "read_series",
     "write_series",
 ]
+
+MAX_STATE = 5000  # largest state of a dense table: (MAX_STATE + 1)^2 doubles, 200 MB
 
 
 @dataclass
@@ -122,36 +122,21 @@ def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
 def transition_prob(p: ModelParams, i: int, j: int, h: int = 1) -> float:
     """h-step transition probability P(X_{t+h} = j | X_t = i).
 
-    With q = q_tilde_h and b = alpha^h q: for i = 0 the value is
-    coeff_B(j + r, r, q); for i >= 1 it is
-
-        coeff_A(i, 0, b) coeff_B(j + r, r, q)
-        + sum_{k=1..j} coeff_B(j - k + r, r, q)
-          sum_{l=1..min(i,k)} coeff_A(i, l, b) coeff_B(k, l, q).
+    With q = q_tilde_h and b = alpha^h q this is the positive sum over the
+    N survivors of the thinning, sum_N coeff_A(i, N, b) NB(j - N; N + r, q).
     """
     i = _check_count(i, "i")
     j = _check_count(j, "j")
     hp = h_fold(p, h)
     q = hp.q_tilde_h
-    r = p.r
-    if i == 0:
-        return coeff_B(j + r, r, q)
-    b = hp.alpha_h * q
-    total = coeff_A(i, 0, b) * coeff_B(j + r, r, q)
-    for k in range(1, j + 1):
-        inner = 0.0
-        for l in range(1, min(i, k) + 1):
-            inner += coeff_A(i, l, b) * coeff_B(k, l, q)
-        total += coeff_B(j - k + r, r, q) * inner
-    return total
+    return float(_binom_nb_mixture([i], [j], hp.alpha_h * q, q, p.r)[0, 0])
 
 
 def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     """Transition probabilities for each origin state in ``rows``, vectorized.
 
-    Evaluates the same formula as ``transition_prob`` for all destinations
-    j = 0..j_max at once: the thinning pmf row is assembled from the
-    coeff_A / coeff_B kernels and convolved with the h-step innovation pmf.
+    Row t holds P(X_{t+h} = j | X_t = rows[t]) for j = 0..j_max, from the
+    recurrence of the conditional pgf where it is stable (``_binom_nb_rows``).
     """
     j_max = _check_count(j_max, "j_max")
     rows = np.asarray(rows, dtype=np.int64)
@@ -159,48 +144,13 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
         raise ParameterError("rows must be a non-empty vector of states")
     hp = h_fold(p, h)
     q = hp.q_tilde_h
-    r = p.r
-    b = hp.alpha_h * q
-    imax = int(rows.max())
-    m = j_max + 1
-
-    j = np.arange(m)
-    log_e = log_gamma(j + r) - log_gamma(r) - log_gamma(j + 1.0) \
-        + r * math.log(q) + j * math.log1p(-q)
-    e = np.exp(log_e)
-
-    # binomial kernel rows A[t, l] = coeff_A(rows[t], l, b)
-    A = np.zeros((rows.size, imax + 1))
-    log_b = math.log(b)
-    log_bbar = math.log1p(-b)
-    for t, i in enumerate(rows):
-        l = np.arange(i + 1)
-        A[t, : i + 1] = np.exp(
-            log_gamma(i + 1.0) - log_gamma(l + 1.0) - log_gamma(i - l + 1.0)
-            + l * log_b + (i - l) * log_bbar
-        )
-
-    # thinning pmf W[t, k] for k = 0..j_max; coeff_B(k, l, q) vanishes for k < l
-    W = np.zeros((rows.size, m))
-    W[:, 0] = A[:, 0]
-    if imax >= 1 and j_max >= 1:
-        l = np.arange(1, imax + 1)[:, None].astype(float)
-        k = np.arange(1, m)[None, :].astype(float)
-        logB = log_gamma(k) - log_gamma(l) - log_gamma(k - l + 1.0) \
-            + l * math.log(q) + (k - l) * math.log1p(-q)
-        B = np.where(k >= l, np.exp(logB), 0.0)
-        W[:, 1:] = A[:, 1:] @ B
-
-    # convolve with the innovation pmf: P[t, j] = sum_k W[t, k] e[j - k]
-    E = np.zeros((m, m))
-    for k in range(m):
-        E[k, k:] = e[: m - k]
-    return W @ E
+    return _binom_nb_rows(rows, j_max, hp.alpha_h * q, q, p.r)
 
 
 def default_max_state(p: ModelParams) -> int:
-    """Default table truncation: twice the NB(r, mu) tail bound at 1e-12."""
-    return 2 * nb_support_bound(p.marginal(), 1e-12)
+    """Default table truncation: twice the NB(r, mu) tail bound at 1e-12,
+    capped at MAX_STATE."""
+    return min(MAX_STATE, 2 * nb_support_bound(p.marginal(), 1e-12))
 
 
 def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -> TransitionTable:
@@ -208,8 +158,8 @@ def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -
     if max_state is None:
         max_state = default_max_state(p)
     max_state = _check_count(max_state, "max_state")
-    if max_state > 5000:
-        raise ParameterError(f"max_state {max_state} exceeds the supported bound 5000")
+    if max_state > MAX_STATE:
+        raise ParameterError(f"max_state {max_state} exceeds the supported bound {MAX_STATE}")
     probs = transition_rows(p, np.arange(max_state + 1), max_state, h)
     return TransitionTable(h=int(h), max_state=max_state, probs=probs)
 
@@ -222,7 +172,7 @@ def conditional_moments(p: ModelParams, x: int, h: int = 1) -> tuple[float, floa
           + mu (1 - alpha^h) (1 + (1 - alpha^h) mu / r).
     """
     x = _check_count(x, "x")
-    ah = p.alpha ** _check_positive_h(h)
+    ah = h_fold(p, h).alpha_h
     mean = ah * x + p.mu * (1.0 - ah)
     var = (2.0 * p.mu / p.r + 1.0) * ah * (1.0 - ah) * x \
         + p.mu * (1.0 - ah) * (1.0 + (1.0 - ah) * p.mu / p.r)
@@ -282,13 +232,6 @@ def ma_sample(p: ModelParams, J: int, rng: np.random.Generator, size=None):
         else:
             total = total + odot_sample_array(hp.beta_h, hp.theta, eps, rng)
     return total
-
-
-def _check_positive_h(h) -> int:
-    hh = _check_count(h, "h")
-    if hh < 1:
-        raise ParameterError(f"h must be a positive integer, got {h!r}")
-    return hh
 
 
 def write_series(path, series: Series) -> None:

@@ -26,10 +26,9 @@ from .distributions import (
     NBParams,
     ParameterError,
     ShiftedGeomParams,
+    _binom_nb_mixture,
     _check_count,
     _check_unit_interval,
-    coeff_A,
-    coeff_B,
 )
 
 __all__ = [
@@ -202,20 +201,14 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     """P(h-fold thinning of x equals k).
 
     For k = 0 this is (1 - beta_h)^x; for k >= 1 it is
-    sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, 1 - (1-beta_h) theta).
+    sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, 1 - (1-beta_h) theta),
+    which is 0 for x = 0.
     """
     x = _check_count(x, "x")
     k = _check_count(k, "k")
     hp = h_fold(p, h)
-    if x == 0:
-        return 1.0 if k == 0 else 0.0
-    if k == 0:
-        return (1.0 - hp.beta_h) ** x
     y = 1.0 - (1.0 - hp.beta_h) * hp.theta
-    total = 0.0
-    for i in range(1, min(k, x) + 1):
-        total += coeff_A(x, i, hp.beta_h) * coeff_B(k, i, y)
-    return total
+    return float(_binom_nb_mixture([x], [k], hp.beta_h, y, 0.0)[0, 0])
 
 
 def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:

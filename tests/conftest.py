@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nbinar import ModelParams
+from nbinar import ModelParams, coeff_A, coeff_B, h_fold
 
 # (alpha, mu, r) triples exercised throughout; the middle one has
 # hand-checkable values (q_tilde = 0.5, beta = 0.25, theta = 2/3)
@@ -27,3 +27,35 @@ def tv_to_pmf(values, pmf):
     probs = np.array([pmf(k) for k in range(kmax + 1)])
     tail = max(0.0, 1.0 - probs.sum())
     return 0.5 * (np.abs(counts - probs).sum() + tail)
+
+
+def thinned_oracle(x, k, b, y):
+    """P(b-thinning of x equals k) as the positive coeff_A * coeff_B sum:
+    (1 - b)^x for k = 0, else sum_{l=1..min(k,x)} coeff_A(x, l, b) coeff_B(k, l, y)."""
+    if k == 0:
+        return (1.0 - b) ** x
+    return sum(coeff_A(x, l, b) * coeff_B(k, l, y) for l in range(1, min(k, x) + 1))
+
+
+def thin_pmf_oracle(p, x, h, k):
+    """P(h-fold thinning of x equals k), with y = 1 - (1 - beta_h) theta."""
+    hp = h_fold(p, h)
+    return thinned_oracle(x, k, hp.beta_h, 1.0 - (1.0 - hp.beta_h) * hp.theta)
+
+
+def transition_row_oracle(p, i, j_max, h=1):
+    """P(X_{t+h} = j | X_t = i) for j = 0..j_max by the double sum
+
+        coeff_A(i, 0, b) coeff_B(j + r, r, q)
+        + sum_{k=1..j} coeff_B(j - k + r, r, q)
+          sum_{l=1..min(i,k)} coeff_A(i, l, b) coeff_B(k, l, q)
+
+    with q = q_tilde_h and b = alpha^h q: the thinned start state convolved
+    with the h-step innovation pmf.
+    """
+    hp = h_fold(p, h)
+    q = hp.q_tilde_h
+    b = hp.alpha_h * q
+    thin = [thinned_oracle(i, k, b, q) for k in range(j_max + 1)]
+    innov = [coeff_B(m + p.r, p.r, q) for m in range(j_max + 1)]
+    return np.convolve(thin, innov)[: j_max + 1]

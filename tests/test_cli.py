@@ -113,6 +113,20 @@ def test_estimate_cls_hand_series(tmp_path, capsys):
     assert "out-of-range" in doc["flags"]
 
 
+def test_estimate_cls_var_heavy_counts(tmp_path, capsys):
+    # a series with mean ~1e6: the predicted covariance is evaluated at
+    # the estimates without summing over the marginal pmf
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, simulate(ModelParams(0.5, 1e6, 0.5), 2000,
+                                       np.random.default_rng(1)))
+    code, out = run(capsys, ["estimate", "--in", str(series_path),
+                             "--method", "cls-var"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["flags"] == ["ok"]
+    assert np.all(np.isfinite(doc["predicted_cov"]["sigma_vars"]))
+
+
 def test_estimate_writes_report_file(tmp_path, capsys):
     series_path = tmp_path / "s.txt"
     write_series(series_path, Series(simulate(P_HAND, 400,

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nbinar import (
@@ -29,10 +32,10 @@ from nbinar import (
     transition_table,
     write_series,
 )
-from nbinar.process import default_max_state, transition_rows
+from nbinar.process import MAX_STATE, default_max_state, transition_rows
 from nbinar.thinning import odot_pgf
 
-from conftest import S_GRID, models, tv_to_pmf
+from conftest import S_GRID, models, thin_pmf_oracle, transition_row_oracle, tv_to_pmf
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 
@@ -149,8 +152,116 @@ def test_transition_rows_match_scalar():
     p = ModelParams(0.7, 4.0, 2.5)
     rows = transition_rows(p, [0, 1, 5, 12], 30, h=2)
     for a, i in enumerate([0, 1, 5, 12]):
-        want = [transition_prob(p, i, j, 2) for j in range(31)]
+        want = transition_row_oracle(p, i, 30, 2)
         assert_allclose(rows[a], want, rtol=1e-13, atol=1e-300)
+        assert_allclose([transition_prob(p, i, j, 2) for j in range(31)], want,
+                        rtol=1e-13, atol=1e-300)
+
+
+def branch_margin(p, h=1):
+    """2c - b(1 + c): the kernel runs its recurrence forward where this is > 0."""
+    hp = h_fold(p, h)
+    b, c = hp.alpha_h * hp.q_tilde_h, 1.0 - hp.q_tilde_h
+    return 2.0 * c - b * (1.0 + c)
+
+
+def boundary_r(alpha_h, mu):
+    """The r with 2c = b(1 + c) at this alpha^h and mu: there
+    q = ((1 + a) - sqrt(1 + a^2)) / a solves a q^2 - 2(1 + a) q + 2 = 0."""
+    q = ((1.0 + alpha_h) - math.sqrt(1.0 + alpha_h * alpha_h)) / alpha_h
+    return mu * q * (1.0 - alpha_h) / (1.0 - q)
+
+
+@st.composite
+def wide_cases(draw):
+    alpha = draw(st.floats(min_value=0.01, max_value=0.99))
+    mu = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    h = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        r = 10.0 ** draw(st.floats(min_value=-3.0, max_value=4.0))
+    else:  # on the branch boundary, up to a small relative shift either way
+        shift = draw(st.floats(min_value=-1e-6, max_value=1e-6))
+        r = boundary_r(alpha ** h, mu) * (1.0 + shift)
+        assume(1e-3 <= r <= 1e4)
+    rows = draw(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                         max_size=3, unique=True))
+    j_max = draw(st.integers(min_value=0, max_value=30))
+    return ModelParams(alpha, mu, r), h, rows, j_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=wide_cases())
+@example(case=(ModelParams(0.9, 50.0, 0.5), 1, [0, 7, 30], 30))  # forward
+@example(case=(ModelParams(0.95, 10.0, 5.0), 1, [0, 7, 30], 30))  # mixture
+@example(case=(ModelParams(0.5, 1.0, boundary_r(0.5, 1.0)), 1, [0, 7, 30], 30))  # boundary
+def test_transition_rows_match_oracle_wide_domain(case):
+    p, h, rows, j_max = case
+    event("forward recurrence" if branch_margin(p, h) > 0.0 else "positive mixture")
+    got = transition_rows(p, rows, j_max, h)
+    for a, i in enumerate(rows):
+        assert_allclose(got[a], transition_row_oracle(p, i, j_max, h),
+                        rtol=1e-9, atol=1e-300)
+        if i:
+            thin = [thin_conditional_pmf(p, i, h, k) for k in range(j_max + 1)]
+            want = [thin_pmf_oracle(p, i, h, k) for k in range(j_max + 1)]
+            assert_allclose(thin, want, rtol=1e-9, atol=1e-300)
+
+
+def test_transition_rows_where_forward_recurrence_diverges():
+    # the recurrence run forward at these triples is dominated by its
+    # spurious solution; the kernel must use the positive mixture there
+    for triple in [(0.95, 10.0, 5.0), (0.99, 2.0, 1.0)]:
+        p = ModelParams(*triple)
+        assert branch_margin(p) < 0.0
+        got = transition_rows(p, [0, 3, 10, 25], 60)
+        for a, i in enumerate([0, 3, 10, 25]):
+            assert_allclose(got[a], transition_row_oracle(p, i, 60),
+                            rtol=1e-11, atol=1e-300)
+
+
+def test_transition_row_with_underflowing_start_probability():
+    # p_0 = q^r (1 - b)^1200 is about exp(-820), below the smallest double,
+    # while the row itself is an ordinary pmf around j = 1189
+    p = ModelParams(0.99, 100.0, 1.0)
+    assert branch_margin(p) > 0.0
+    rows = transition_rows(p, [0, 1200], 3000)
+    assert rows[1, 0] == 0.0
+    j = np.arange(3001, dtype=float)
+    assert abs(rows[1].sum() - 1.0) <= 1e-10
+    mean = float(rows[1] @ j)
+    var = float(rows[1] @ (j - mean) ** 2)
+    assert_allclose([mean, var], conditional_moments(p, 1200, 1), rtol=1e-9)
+    assert_allclose(rows[0], transition_row_oracle(p, 0, 3000), rtol=1e-10)
+
+
+def pgf_coefficient_mpmath(p, i, j, h):
+    """[s^j] of q^r u(s)^i v(s)^-(i+r) at 50 digits: the Cauchy product of the
+    binomial series of u^i and the negative binomial series of v^-(i+r)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(p.alpha) ** h
+        r = mpmath.mpf(p.r)
+        q = r / (r + (1 - a) * mpmath.mpf(p.mu))
+        b, c = a * q, 1 - q
+        total = mpmath.mpf(0)
+        for k in range(min(i, j) + 1):
+            m = j - k
+            total += (mpmath.binomial(i, k) * (1 - b) ** (i - k) * (b - c) ** k
+                      * mpmath.rf(i + r, m) / mpmath.factorial(m) * c ** m)
+        return float(q ** r * total)
+
+
+@pytest.mark.parametrize("triple, h, i, j", [
+    ((0.9, 50.0, 0.5), 1, 30, 40),
+    ((0.7, 4.0, 2.5), 1, 12, 25),
+    ((0.5, 2.0, 1.0), 3, 4, 7),
+    ((0.95, 10.0, 5.0), 1, 12, 20),
+    ((0.99, 2.0, 1.0), 1, 5, 9),
+    ((0.5, 2.0, 1e4), 1, 3, 5),
+])
+def test_transition_rows_match_mpmath(triple, h, i, j):
+    p = ModelParams(*triple)
+    got = transition_rows(p, [i], j, h)[0, j]
+    assert_allclose(got, pgf_coefficient_mpmath(p, i, j, h), rtol=1e-10)
 
 
 def test_transition_table_structure():
@@ -183,6 +294,10 @@ def test_default_max_state_covers_marginal():
     for p in models():
         J = default_max_state(p)
         assert nb_pmf_vector(p.marginal(), J).sum() >= 1.0 - 1e-11
+    # twice the tail bound is 5114 here: the default stops at the table cap
+    heavy = ModelParams(0.9, 50.0, 0.5)
+    assert 2 * nb_support_bound(heavy.marginal(), 1e-12) > MAX_STATE
+    assert default_max_state(heavy) == MAX_STATE
 
 
 def test_conditional_moments_hand_values():
