@@ -10,20 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from .distributions import ParameterError
-from .estimation import (
-    DegenerateSeriesError,
-    cls_means,
-    cls_variances,
-    cml_fit,
-    predicted_cov,
-    yw_means,
+from .estimation import DegenerateSeriesError
+from .montecarlo import (
+    ESTIMATORS,
+    REGISTRY,
+    EmptyReportError,
+    MCConfig,
+    jsonable,
+    predicted_cov_at,
+    run_experiment,
 )
-from .montecarlo import EmptyReportError, MCConfig, jsonable, run_experiment
 from .process import read_series, simulate, transition_prob, transition_table, write_series
 from .selftest import run_selftest
 from .thinning import ModelParams
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate parameters from a series file")
     est.add_argument("--in", dest="infile", required=True, help="series file")
-    est.add_argument("--method", required=True,
-                     choices=("cls", "yw", "cls-var", "cml"))
+    est.add_argument("--method", required=True, choices=ESTIMATORS)
     est.add_argument("--known-alpha", type=float, default=None,
                      help="treat alpha as known (cls-var only)")
     est.add_argument("--known-mueps", type=float, default=None,
@@ -124,16 +123,6 @@ def cmd_transition(args) -> int:
     return 0
 
 
-def _cov_block(alpha: float, mu: float, r: float):
-    try:
-        cov = predicted_cov(ModelParams(alpha=alpha, mu=mu, r=r))
-    except (ParameterError, ValueError, OverflowError):
-        return None
-    return {"sigma_means": cov.sigma_means.tolist(),
-            "sigma_alpha_mu": cov.sigma_alpha_mu.tolist(),
-            "sigma_vars": cov.sigma_vars.tolist()}
-
-
 def cmd_estimate(args) -> int:
     try:
         series = read_series(args.infile)
@@ -144,75 +133,26 @@ def cmd_estimate(args) -> int:
         print(f"error: malformed series file: {exc}", file=sys.stderr)
         return 3
 
-    known = (args.known_alpha, args.known_mueps)
-    if any(v is not None for v in known) and args.method != "cls-var":
+    estimator = REGISTRY[args.method]
+    known = {name: value for name, value in (("known_alpha", args.known_alpha),
+                                             ("known_mu_eps", args.known_mueps))
+             if value is not None}
+    if known and not estimator.known_means:
         raise ParameterError("--known-alpha/--known-mueps apply to --method cls-var only")
-
-    report: dict = {"method": args.method, "observations": len(series)}
-    flags: list[str] = []
-    if args.method in ("cls", "yw"):
-        fit = cls_means(series) if args.method == "cls" else yw_means(series)
-        report["estimates"] = {"alpha_hat": fit.alpha_hat,
-                               "mu_eps_hat": fit.mu_eps_hat,
-                               "mu_hat": fit.mu_hat}
-        report["n"] = fit.n
-        if not fit.in_range:
-            flags.append("out-of-range")
-        report["predicted_cov"] = None
-        flags.append("cov-requires-r")
-    elif args.method == "cls-var":
-        if args.known_alpha is not None:
-            var = cls_variances(series, known_alpha=args.known_alpha,
-                                known_mu_eps=args.known_mueps)
-            alpha_used, mu_eps_used = args.known_alpha, args.known_mueps
-            report["estimates"] = {}
-        else:
-            means = cls_means(series)
-            var = cls_variances(series, means)
-            alpha_used, mu_eps_used = means.alpha_hat, means.mu_eps_hat
-            report["estimates"] = {"alpha_hat": means.alpha_hat,
-                                   "mu_eps_hat": means.mu_eps_hat,
-                                   "mu_hat": means.mu_hat}
-            if not means.in_range:
-                flags.append("out-of-range")
-        report["estimates"].update({
-            "sigma_g2_hat": var.sigma_g2_hat,
-            "sigma_eps2_hat": var.sigma_eps2_hat,
-            "sigma2_hat": var.sigma2_hat,
-            "sigma2_hat_formula_a": var.sigma2_hat_formula_a,
-            "r_hat": var.r_hat})
-        report["residual_mode"] = var.residual_mode
-        report["alpha_used"] = alpha_used
-        report["mu_eps_used"] = mu_eps_used
-        report["n"] = var.n
-        if not var.r_defined:
-            flags.append("r-undefined")
-            report["predicted_cov"] = None
-        else:
-            mu_used = mu_eps_used / (1.0 - alpha_used) if alpha_used != 1.0 else float("nan")
-            report["predicted_cov"] = _cov_block(alpha_used, mu_used, var.r_hat)
-            if report["predicted_cov"] is None:
-                flags.append("cov-unavailable")
-    else:  # cml
-        if len(series) < 10:
-            raise ParameterError("cml needs at least 10 observations")
-        fit = cml_fit(series)
-        report["estimates"] = {"alpha_hat": fit.params.alpha,
-                               "mu_hat": fit.params.mu,
-                               "r_hat": fit.params.r,
-                               "mu_eps_hat": (1.0 - fit.params.alpha) * fit.params.mu}
-        report["loglik"] = fit.loglik
-        report["convergence"] = {"converged": fit.converged,
-                                 "n_iter": fit.n_iter,
-                                 "message": fit.message,
-                                 "n_underflow": fit.n_underflow}
-        report["init"] = asdict(fit.init)
-        if not fit.converged:
-            flags.append("non-converged")
-        report["predicted_cov"] = _cov_block(fit.params.alpha, fit.params.mu,
-                                             fit.params.r)
-
-    report["flags"] = flags or ["ok"]
+    fit = estimator.fit(series, **known)
+    flags = list(fit.flags)
+    cov = None
+    if fit.cov_point is None:
+        if estimator.no_cov_flag is not None:
+            flags.append(estimator.no_cov_flag)
+    else:
+        cov = predicted_cov_at(fit.cov_point)
+        if cov is None:
+            flags.append("cov-unavailable")
+    report = {"method": args.method, "observations": len(series),
+              "estimates": fit.estimates, **fit.details,
+              "predicted_cov": None if cov is None else vars(cov),
+              "flags": flags or ["ok"]}
     text = json.dumps(jsonable(report), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -250,10 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateSeriesError as exc:
-        print(f"error: degenerate data: {exc}", file=sys.stderr)
-        return 4
-    except EmptyReportError as exc:
+    except (DegenerateSeriesError, EmptyReportError) as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 4
     except ParameterError as exc:

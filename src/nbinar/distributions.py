@@ -35,8 +35,8 @@ __all__ = [
     "coeff_B",
 ]
 
-# Geometric tail domination: NB(r, mu) tail sums are truncated at the smallest
-# K past the mode with pmf(K) / (1 - theta) < TAIL_TOL.
+# Geometric tail domination: NB(r, mu) tail sums are truncated at the
+# ``nb_support_bound`` K, whose tail P(X >= K) lies below TAIL_TOL.
 TAIL_TOL = 1e-14
 
 
@@ -172,26 +172,38 @@ def nb_central_moments(params: NBParams) -> tuple[float, float, float, float]:
 
 
 def nb_support_bound(params: NBParams, tol: float = TAIL_TOL) -> int:
-    """Smallest K past the pmf mode with pmf(K) / (1 - theta) < tol.
+    """Smallest K with pmf(K) < tol (1 - max(theta, rho_K)), so P(X >= K) < tol.
 
-    Beyond the mode the pmf ratio pmf(k+1)/pmf(k) = theta (k+r)/(k+1) is
-    bounded by a constant < 1, so the tail beyond K is dominated by a
-    geometric series with sum < pmf(K) / (1 - theta) up to that constant.
+    Past the mode the ratio rho_k = pmf(k+1) / pmf(k) = theta (k + r) / (k + 1)
+    is < 1 and moves monotonically towards theta, so the tail from K on is
+    below pmf(K) / (1 - max(theta, rho_K)).  The condition holds from some K
+    past the mode on; K is found by doubling steps and bisection on the log
+    pmf, so no pmf value has to be representable as a double.
     """
     if not (0.0 < tol < 1.0):
         raise ParameterError(f"tol must lie in (0, 1), got {tol}")
-    r = params.r
-    theta = params.theta
-    pk = (1.0 - theta) ** r  # pmf(0)
-    bound = 1.0 / (1.0 - theta)
-    k = 0
-    while k < 10**7:
-        past_mode = theta * (k + r) / (k + 1.0) <= 1.0
-        if past_mode and pk * bound < tol:
-            return k
-        pk *= theta * (k + r) / (k + 1.0)
-        k += 1
-    raise RuntimeError("tail truncation bound not reached")
+    r, mu = params.r, params.mu
+    log_theta = -math.log1p(r / mu)
+    log_base = -r * math.log1p(mu / r) - float(log_gamma(r))
+    log_tol = math.log(tol)
+
+    def below(k: int) -> bool:
+        # 1 - max(theta, rho_k) = (r (k+1) + min(0, mu (1-r))) / ((k+1) (mu+r))
+        slack = r * (k + 1.0) + min(0.0, mu * (1.0 - r))
+        if slack <= 0.0:
+            return False
+        logp = float(log_gamma(k + r) - log_gamma(k + 1.0)) + log_base + k * log_theta
+        return logp < log_tol + math.log(slack / (k + 1.0)) - math.log(mu + r)
+
+    # below(lo) stays false and below(hi) true; lo starts just before the mode
+    lo, step = max(0, math.ceil(mu * (r - 1.0) / r - 1.0)) - 1, 1
+    while not below(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
 
 
 def coeff_A(n: int, i: int, y: float) -> float:

@@ -16,25 +16,30 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import estimation
 from .distributions import ParameterError, nb_central_moments
 from .estimation import (
+    CovMatrices,
     DegenerateSeriesError,
+    MeanEstimates,
     cls_means,
     cls_variances,
-    cml_fit,
     predicted_cov,
     yw_means,
 )
-from .process import simulate
+from .process import Series, simulate
 from .thinning import ModelParams, g_central_moments
 
 __all__ = [
     "ESTIMATORS",
+    "REGISTRY",
     "CSV_COLUMNS",
     "EmptyReportError",
     "MCConfig",
@@ -46,27 +51,113 @@ __all__ = [
     "jsonable",
 ]
 
-ESTIMATORS = ("cls", "yw", "cls-var", "cml")
+
+class Fit(NamedTuple):
+    """One estimator run on one series: report fields and values, the fit's
+    flags, further report entries, and the (alpha, mu, r) at which to predict
+    the covariance (None: no such point)."""
+
+    estimates: dict
+    flags: list
+    details: dict
+    cov_point: tuple | None
+
+
+class Estimator(NamedTuple):
+    """Everything that differs by method: ``block_fields`` are summarised per
+    Monte Carlo block, ``cov_fields`` enter the sqrt(n)-scaled error
+    covariance that the ``CovMatrices`` field ``cov_matrix`` predicts,
+    ``no_cov_flag`` is the report flag for a fit without a covariance point,
+    and ``known_means`` fits accept ``known_alpha``/``known_mu_eps``."""
+
+    fit: Callable[..., Fit]
+    block_fields: tuple
+    cov_fields: tuple
+    cov_matrix: str | None
+    no_cov_flag: str | None = None
+    known_means: bool = False
+
+
+# The fits look the estimation functions up when called (module globals here,
+# ``estimation.cml_fit`` for CML) rather than binding them in the table, so a
+# function replaced at those names, as a tracer does, is the one that runs.
+def _means_fit(fit: MeanEstimates) -> Fit:
+    estimates = {"alpha_hat": fit.alpha_hat, "mu_eps_hat": fit.mu_eps_hat,
+                 "mu_hat": fit.mu_hat}
+    return Fit(estimates, [] if fit.in_range else ["out-of-range"],
+               {"n": fit.n}, None)
+
+
+def _fit_cls_var(series: Series, known_alpha: float | None = None,
+                 known_mu_eps: float | None = None) -> Fit:
+    if known_alpha is None and known_mu_eps is None:
+        means = cls_means(series)
+        var = cls_variances(series, means)
+        alpha, mu_eps = means.alpha_hat, means.mu_eps_hat
+        estimates, flags, _, _ = _means_fit(means)
+    else:
+        var = cls_variances(series, known_alpha=known_alpha,
+                            known_mu_eps=known_mu_eps)
+        alpha, mu_eps = known_alpha, known_mu_eps
+        estimates, flags = {}, []
+    estimates.update(sigma_g2_hat=var.sigma_g2_hat,
+                     sigma_eps2_hat=var.sigma_eps2_hat,
+                     sigma2_hat=var.sigma2_hat,
+                     sigma2_hat_formula_a=var.sigma2_hat_formula_a,
+                     r_hat=var.r_hat)
+    details = {"residual_mode": var.residual_mode, "alpha_used": alpha,
+               "mu_eps_used": mu_eps, "n": var.n}
+    if not var.r_defined:
+        return Fit(estimates, flags + ["r-undefined"], details, None)
+    mu = mu_eps / (1.0 - alpha) if alpha != 1.0 else math.nan
+    return Fit(estimates, flags, details, (alpha, mu, var.r_hat))
+
+
+def _fit_cml(series: Series) -> Fit:
+    if len(series) < 10:
+        raise ParameterError("cml needs at least 10 observations")
+    fit = estimation.cml_fit(series)
+    a, mu, r = fit.params.alpha, fit.params.mu, fit.params.r
+    flags = [flag for flag, raised in (("non-converged", not fit.converged),
+                                       ("underflow", fit.n_underflow > 0)) if raised]
+    details = {"loglik": fit.loglik,
+               "convergence": {"converged": fit.converged, "n_iter": fit.n_iter,
+                               "message": fit.message,
+                               "n_underflow": fit.n_underflow},
+               "init": asdict(fit.init)}
+    return Fit({"alpha_hat": a, "mu_hat": mu, "r_hat": r,
+                "mu_eps_hat": (1.0 - a) * mu}, flags, details, None)
+
+
+_MEANS = ("alpha_hat", "mu_eps_hat")
+REGISTRY = {
+    "cls": Estimator(lambda series: _means_fit(cls_means(series)),
+                     _MEANS + ("mu_hat",), _MEANS, "sigma_means", "cov-requires-r"),
+    "yw": Estimator(lambda series: _means_fit(yw_means(series)),
+                    _MEANS + ("mu_hat",), _MEANS, "sigma_means", "cov-requires-r"),
+    "cls-var": Estimator(_fit_cls_var, ("sigma_g2_hat", "sigma_eps2_hat", "r_hat"),
+                         ("sigma_g2_hat", "sigma_eps2_hat"), "sigma_vars",
+                         known_means=True),
+    "cml": Estimator(_fit_cml, ("alpha_hat", "mu_hat", "r_hat"),
+                     ("alpha_hat", "mu_hat", "r_hat"), None, "cov-unavailable"),
+}
+ESTIMATORS = tuple(REGISTRY)
+# the pair whose alpha estimates are compared in the gap blocks
+_GAP_PAIR = ("cls", "yw")
 
 CSV_COLUMNS = ("estimator", "n", "replicate", "alpha_hat", "mu_eps_hat",
                "mu_hat", "sigma_g2_hat", "sigma_eps2_hat", "r_hat", "flags")
 
 _FLOAT_COLUMNS = CSV_COLUMNS[3:-1]
 
-# per-estimator summary layout: quantile fields and (error field, truth key)
-# pairs entering the scaled-error covariance
-_BLOCK_FIELDS = {
-    "cls": ("alpha_hat", "mu_eps_hat", "mu_hat"),
-    "yw": ("alpha_hat", "mu_eps_hat", "mu_hat"),
-    "cls-var": ("sigma_g2_hat", "sigma_eps2_hat", "r_hat"),
-    "cml": ("alpha_hat", "mu_hat", "r_hat"),
-}
-_COV_FIELDS = {
-    "cls": ("alpha_hat", "mu_eps_hat"),
-    "yw": ("alpha_hat", "mu_eps_hat"),
-    "cls-var": ("sigma_g2_hat", "sigma_eps2_hat"),
-    "cml": ("alpha_hat", "mu_hat", "r_hat"),
-}
+
+def predicted_cov_at(point: tuple) -> CovMatrices | None:
+    """Predicted covariances at a fitted (alpha, mu, r), or None where the
+    point lies outside the parameter domain or the moments overflow."""
+    try:
+        return predicted_cov(ModelParams(*point))
+    except (ParameterError, ValueError, OverflowError):
+        return None
 
 
 class EmptyReportError(RuntimeError):
@@ -162,10 +253,18 @@ def true_values(p: ModelParams) -> dict:
             "sigma_g2": sg2, "sigma_eps2": se2, "sigma2": s2}
 
 
-def _blank_row(est: str, n: int, rep: int) -> dict:
-    row = {"estimator": est, "n": n, "replicate": rep, "flags": "ok"}
-    for f in _FLOAT_COLUMNS:
-        row[f] = math.nan
+def _fit_row(method: str, series: Series, n: int, rep: int) -> dict:
+    """The CSV row of one estimator run: estimates and ';'-joined flags, or
+    NaN estimates flagged ``degenerate``."""
+    row = {"estimator": method, "n": n, "replicate": rep, "flags": "ok",
+           **dict.fromkeys(_FLOAT_COLUMNS, math.nan)}
+    try:
+        fit = REGISTRY[method].fit(series)
+    except DegenerateSeriesError:
+        row["flags"] = "degenerate"
+        return row
+    row.update((f, v) for f, v in fit.estimates.items() if f in row)
+    row["flags"] = ";".join(fit.flags) or "ok"
     return row
 
 
@@ -174,46 +273,7 @@ def _replicate(task) -> tuple[int, int, list]:
     p = ModelParams(alpha=alpha, mu=mu, r=r)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n, rep)))
     series = simulate(p, n + 1, rng)
-    rows = []
-    for est in estimators:
-        row = _blank_row(est, n, rep)
-        try:
-            if est == "cls" or est == "yw":
-                fit = cls_means(series) if est == "cls" else yw_means(series)
-                row.update(alpha_hat=fit.alpha_hat, mu_eps_hat=fit.mu_eps_hat,
-                           mu_hat=fit.mu_hat)
-                if not fit.in_range:
-                    row["flags"] = "out-of-range"
-            elif est == "cls-var":
-                means = cls_means(series)
-                var = cls_variances(series, means)
-                row.update(alpha_hat=means.alpha_hat,
-                           mu_eps_hat=means.mu_eps_hat, mu_hat=means.mu_hat,
-                           sigma_g2_hat=var.sigma_g2_hat,
-                           sigma_eps2_hat=var.sigma_eps2_hat, r_hat=var.r_hat)
-                tokens = []
-                if not means.in_range:
-                    tokens.append("out-of-range")
-                if not var.r_defined:
-                    tokens.append("r-undefined")
-                if tokens:
-                    row["flags"] = ";".join(tokens)
-            elif est == "cml":
-                fit = cml_fit(series)
-                row.update(alpha_hat=fit.params.alpha, mu_hat=fit.params.mu,
-                           mu_eps_hat=(1.0 - fit.params.alpha) * fit.params.mu,
-                           r_hat=fit.params.r)
-                tokens = []
-                if not fit.converged:
-                    tokens.append("non-converged")
-                if fit.n_underflow:
-                    tokens.append("underflow")
-                if tokens:
-                    row["flags"] = ";".join(tokens)
-        except DegenerateSeriesError:
-            row["flags"] = "degenerate"
-        rows.append(row)
-    return n, rep, rows
+    return n, rep, [_fit_row(method, series, n, rep) for method in estimators]
 
 
 def _worker_count() -> int:
@@ -237,8 +297,8 @@ def run_experiment(cfg: MCConfig) -> MCReport:
     tasks = [(cfg.params.alpha, cfg.params.mu, cfg.params.r, n, rep,
               cfg.master_seed, cfg.estimators)
              for n in cfg.n_grid for rep in range(cfg.replicates)]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(_worker_count(), len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))
@@ -249,9 +309,9 @@ def run_experiment(cfg: MCConfig) -> MCReport:
 
     truth = true_values(cfg.params)
     cov = predicted_cov(cfg.params)
-    predicted = {"cls": cov.sigma_means, "yw": cov.sigma_means,
-                 "cls-var": cov.sigma_vars, "cml": None}
-    blocks, gaps = summarize(rows, truth, predicted)
+    blocks, gaps = summarize(rows, truth, {
+        method: getattr(cov, est.cov_matrix)
+        for method, est in REGISTRY.items() if est.cov_matrix is not None})
     report = MCReport(config=cfg, truth=truth, rows=rows, blocks=blocks,
                       gaps=gaps)
     if cfg.output_path is not None:
@@ -263,6 +323,11 @@ def _is_failed(row: dict) -> bool:
     return "degenerate" in row["flags"]
 
 
+def _quartiles(vals) -> dict:
+    q = np.quantile(vals, [0.25, 0.5, 0.75]) if len(vals) else [None] * 3
+    return {k: None if v is None else float(v) for k, v in zip(("0.25", "0.5", "0.75"), q)}
+
+
 def summarize(rows: list, truth: dict, predicted: dict | None = None) -> tuple[list, list]:
     """Aggregate a raw replicate table into per-(estimator, n) blocks.
 
@@ -270,44 +335,34 @@ def summarize(rows: list, truth: dict, predicted: dict | None = None) -> tuple[l
     sqrt(n) |alpha_hat_yw - alpha_hat_cls| on replicates where both ran.
     """
     predicted = predicted or {}
-    keys = sorted({(row["estimator"], row["n"]) for row in rows},
-                  key=lambda t: (ESTIMATORS.index(t[0]), t[1]))
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault((row["estimator"], row["n"]), []).append(row)
     blocks = []
-    for est, n in keys:
-        sub = [r for r in rows if r["estimator"] == est and r["n"] == n]
+    for est, n in sorted(groups, key=lambda t: (ESTIMATORS.index(t[0]), t[1])):
+        sub = groups[est, n]
         ok = [r for r in sub if not _is_failed(r)]
         if not ok:
             raise EmptyReportError(f"all replicates failed for {est} at n={n}")
-        flag_counts: dict = {}
-        for r in sub:
-            flag_counts[r["flags"]] = flag_counts.get(r["flags"], 0) + 1
+        flag_counts = Counter(r["flags"] for r in sub)
 
-        fields = _BLOCK_FIELDS[est]
         mean, bias, quantiles = {}, {}, {}
-        for f in fields:
+        for f in REGISTRY[est].block_fields:
             vals = np.array([r[f] for r in ok], dtype=float)
             vals = vals[np.isfinite(vals)]
-            if vals.size:
-                mean[f] = float(vals.mean())
-                q = np.quantile(vals, [0.25, 0.5, 0.75])
-                quantiles[f] = {"0.25": float(q[0]), "0.5": float(q[1]),
-                                "0.75": float(q[2])}
-            else:
-                mean[f] = None
-                quantiles[f] = {"0.25": None, "0.5": None, "0.75": None}
+            mean[f] = float(vals.mean()) if vals.size else None
+            quantiles[f] = _quartiles(vals)
             key = f[: -len("_hat")]
             bias[f] = (mean[f] - truth[key]) if (mean[f] is not None and key in truth) else None
 
-        cov_fields = _COV_FIELDS[est]
         errs = []
         for r in ok:
-            vec = [r[f] - truth[f[: -len("_hat")]] for f in cov_fields]
+            vec = [r[f] - truth[f[: -len("_hat")]] for f in REGISTRY[est].cov_fields]
             if all(math.isfinite(v) for v in vec):
                 errs.append([math.sqrt(n) * v for v in vec])
         emp_cov = None
         if len(errs) >= 2:
-            emp_cov = np.cov(np.asarray(errs).T, ddof=1)
-            emp_cov = np.atleast_2d(emp_cov)
+            emp_cov = np.atleast_2d(np.cov(np.asarray(errs).T, ddof=1))
         pred = predicted.get(est)
         rel_dev = max_dev = None
         if emp_cov is not None and pred is not None:
@@ -327,20 +382,14 @@ def summarize(rows: list, truth: dict, predicted: dict | None = None) -> tuple[l
         })
 
     gaps = []
-    ests = {row["estimator"] for row in rows}
-    if "cls" in ests and "yw" in ests:
-        for n in sorted({row["n"] for row in rows}):
-            by_rep: dict = {}
-            for r in rows:
-                if r["n"] == n and r["estimator"] in ("cls", "yw") and not _is_failed(r):
-                    by_rep.setdefault(r["replicate"], {})[r["estimator"]] = r
-            diffs = [math.sqrt(n) * abs(pair["yw"]["alpha_hat"] - pair["cls"]["alpha_hat"])
-                     for pair in by_rep.values() if len(pair) == 2]
-            if diffs:
-                q = np.quantile(np.array(diffs), [0.25, 0.5, 0.75])
-                gaps.append({"n": n, "replicates": len(diffs),
-                             "quantiles": {"0.25": float(q[0]), "0.5": float(q[1]),
-                                           "0.75": float(q[2])}})
+    first, second = _GAP_PAIR
+    for n in sorted({n for _, n in groups}):
+        by_rep = {r["replicate"]: r for r in groups.get((first, n), []) if not _is_failed(r)}
+        diffs = [math.sqrt(n) * abs(r["alpha_hat"] - by_rep[r["replicate"]]["alpha_hat"])
+                 for r in groups.get((second, n), [])
+                 if not _is_failed(r) and r["replicate"] in by_rep]
+        if diffs:
+            gaps.append({"n": n, "replicates": len(diffs), "quantiles": _quartiles(diffs)})
     return blocks, gaps
 
 

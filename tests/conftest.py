@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nbinar import ModelParams, coeff_A, coeff_B, h_fold
+from nbinar import ModelParams, coeff_A, coeff_B, h_fold, selftest
 
 # (alpha, mu, r) triples exercised throughout; the middle one has
 # hand-checkable values (q_tilde = 0.5, beta = 0.25, theta = 2/3)
@@ -18,15 +18,11 @@ def models():
 def tv_to_pmf(values, pmf):
     """Total variation between an empirical sample and a pmf callable.
 
-    Mass of the pmf beyond the largest observed value is lumped into a
-    tail bucket so the comparison is over a proper distribution.
+    The pmf is evaluated on 0..max(values); its mass beyond that window is
+    one tail bucket, so the comparison is over a proper distribution.
     """
     values = np.asarray(values)
-    kmax = int(values.max())
-    counts = np.bincount(values, minlength=kmax + 1) / values.size
-    probs = np.array([pmf(k) for k in range(kmax + 1)])
-    tail = max(0.0, 1.0 - probs.sum())
-    return 0.5 * (np.abs(counts - probs).sum() + tail)
+    return selftest.tv_to_pmf(values, np.array([pmf(k) for k in range(int(values.max()) + 1)]))
 
 
 def thinned_oracle(x, k, b, y):

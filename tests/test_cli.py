@@ -1,13 +1,16 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nbinar import ModelParams, Series, simulate, transition_prob, write_series
+from nbinar import ModelParams, Series, estimation, simulate, transition_prob, write_series
 from nbinar.cli import main
+from nbinar.montecarlo import CSV_COLUMNS, ESTIMATORS, _fit_row
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 BASE = ["--alpha", "0.5", "--mu", "2", "--r", "1"]
@@ -166,6 +169,57 @@ def test_estimate_cml_smoke(tmp_path, capsys):
     assert doc["convergence"]["converged"] in (True, False)
     assert doc["convergence"]["n_iter"] >= 1
     assert set(doc["init"]) == {"alpha", "mu", "r"}
+
+
+# flags a report adds about its predicted covariance; every other flag is
+# the fit's own and also appears in the Monte Carlo row
+COV_FLAGS = ("cov-requires-r", "cov-unavailable")
+
+
+@pytest.mark.parametrize("values", [
+    simulate(P_HAND, 300, np.random.default_rng(5)).values,
+    np.array([1, 2] * 15),  # alpha_hat = -1: out-of-range, r-undefined
+])
+def test_estimate_reports_agree_with_mc_rows(tmp_path, capsys, values):
+    series = Series(values)
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, series)
+    for method in ESTIMATORS:
+        code, out = run(capsys, ["estimate", "--in", str(series_path),
+                                 "--method", method])
+        assert code == 0
+        doc = json.loads(out)
+        row = _fit_row(method, series, len(series) - 1, 0)
+        for field in CSV_COLUMNS[3:-1]:
+            want = row[field] if math.isfinite(row[field]) else None
+            assert doc["estimates"].get(field) == want, (method, field)
+        fit_flags = [f for f in doc["flags"] if f not in COV_FLAGS] or ["ok"]
+        assert ";".join(fit_flags) == row["flags"], method
+    # no covariance is predicted for the likelihood fit yet
+    assert doc["predicted_cov"] is None and doc["flags"][-1] == "cov-unavailable"
+
+
+def test_estimate_cml_reports_fit_flags(tmp_path, capsys, monkeypatch):
+    series = simulate(P_HAND, 300, np.random.default_rng(5))
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, series)
+    fit = estimation.cml_fit(series)
+    monkeypatch.setattr(estimation, "cml_fit", lambda s: dataclasses.replace(
+        fit, converged=False, n_underflow=2))
+    code, out = run(capsys, ["estimate", "--in", str(series_path), "--method", "cml"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["flags"] == ["non-converged", "underflow", "cov-unavailable"]
+    assert doc["convergence"]["n_underflow"] == 2 and doc["predicted_cov"] is None
+    assert _fit_row("cml", series, len(series) - 1, 0)["flags"] == "non-converged;underflow"
+
+
+def test_estimate_known_mueps_alone_is_rejected(tmp_path):
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, simulate(P_HAND, 100, np.random.default_rng(6)))
+    argv = ["estimate", "--in", str(series_path), "--method", "cls-var"]
+    assert main([*argv, "--known-mueps", "1.0"]) == 2
+    assert main([*argv, "--known-alpha", "0.5"]) == 2
 
 
 def test_estimate_constant_series_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -67,14 +68,28 @@ def test_nb_pmf_vector_consistent_and_normalized():
         assert abs(vec.sum() - 1.0) <= 1e-12
 
 
+# (r, mu) across the wide domain: pmf(0) underflows at the first two, the
+# pmf ratio past the mode exceeds theta at the third, and the fourth has a
+# bound in the tens of millions
+NB_WIDE = [NBParams(r, mu) for r, mu in (
+    (1e4, 1e3), (1e3, 2e3), (1e4, 2e3), (0.5, 1e6), (1e-3, 1e-3), (1e-3, 1e6),
+    (1e4, 1e-3), (1e4, 1e6))]
+
+
 def test_nb_support_bound_captures_tail():
-    for params in NB_GRID:
+    for params in NB_GRID + NB_WIDE:
         for tol in (1e-9, 1e-12):
             kmax = nb_support_bound(params, tol)
-            assert nb_pmf_vector(params, kmax).sum() >= 1.0 - tol
-            # the bound is not absurdly loose
-            mean, var, _, _ = nb_central_moments(params)
-            assert kmax <= 20.0 * (mean + 10.0 * math.sqrt(var)) + 200.0
+            if params in NB_GRID:
+                assert nb_pmf_vector(params, kmax).sum() >= 1.0 - tol
+                # the bound is not absurdly loose
+                mean, var, _, _ = nb_central_moments(params)
+                assert kmax <= 20.0 * (mean + 10.0 * math.sqrt(var)) + 200.0
+            # P(X > kmax) from scipy, without summing up to 2e10 pmf terms,
+            # and the exact tail quantile lies within 1% below the bound
+            p_success = params.r / (params.mu + params.r)
+            assert scipy.stats.nbinom.sf(kmax, params.r, p_success) <= tol
+            assert kmax <= 1.01 * scipy.stats.nbinom.isf(tol, params.r, p_success) + 1
 
 
 def test_nb_pgf_series_oracle():

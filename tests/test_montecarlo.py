@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nbinar import MCConfig, ModelParams, ParameterError, run_experiment
+from nbinar import (
+    MCConfig,
+    ModelParams,
+    ParameterError,
+    estimation,
+    montecarlo,
+    run_experiment,
+)
 from nbinar.montecarlo import (
     CSV_COLUMNS,
+    ESTIMATORS,
     EmptyReportError,
     _worker_count,
     jsonable,
@@ -117,6 +125,55 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("NBINAR_THREADS", "-2")
     with pytest.raises(ParameterError):
         _worker_count()
+
+
+def test_run_experiment_clamps_workers(monkeypatch):
+    # a stand-in pool records the worker count and maps in this process, so
+    # an oversized NBINAR_THREADS starts no process
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("NBINAR_THREADS", str(10**6))
+    run_experiment(small_config(n_grid=(50, 80), replicates=3))  # 6 tasks
+    run_experiment(small_config(replicates=3))  # 3 tasks
+    monkeypatch.setenv("NBINAR_THREADS", "1")
+    run_experiment(small_config(replicates=3))
+    assert seen == [4, 3]
+
+
+def test_registry_calls_estimators_at_replaceable_names(monkeypatch):
+    # the fits look the estimation functions up when called, so one replaced
+    # at montecarlo's name (or at estimation.cml_fit) is the one that runs
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("cls_means", "yw_means", "cls_variances", "predicted_cov"):
+        spy(montecarlo, name)
+    spy(estimation, "cml_fit")
+    run_experiment(small_config(estimators=ESTIMATORS))
+    assert set(calls) == {"cls_means", "yw_means", "cls_variances", "predicted_cov",
+                          "cml_fit"}
 
 
 def test_run_experiment_writes_outputs(tmp_path):

@@ -298,6 +298,8 @@ def test_default_max_state_covers_marginal():
     heavy = ModelParams(0.9, 50.0, 0.5)
     assert 2 * nb_support_bound(heavy.marginal(), 1e-12) > MAX_STATE
     assert default_max_state(heavy) == MAX_STATE
+    # a marginal mean of 1e6 reaches the cap without building the table
+    assert default_max_state(ModelParams(0.5, 1e6, 0.5)) == MAX_STATE
 
 
 def test_conditional_moments_hand_values():
