@@ -327,6 +327,10 @@ def _auto_init(series: Series) -> ModelParams:
     return ModelParams(alpha=alpha0, mu=mu0, r=r0)
 
 
+# bound on (logit alpha, log mu, log r) in the CML search
+_SEARCH_BOX = 30.0
+
+
 def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     """Maximize the conditional log-likelihood by Nelder-Mead simplex search
     over (logit alpha, log mu, log r).
@@ -334,7 +338,8 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     The default start is the Yule-Walker alpha (clipped to (0.01, 0.99)) and
     mu, with r from the moment estimator clipped positive; degenerate series
     fall back to (0.5, series mean, 1).  Convergence means the simplex
-    collapsed below 1e-6 in the transformed space within 500 iterations.
+    collapsed below 1e-6 in the transformed space within 500 iterations, at a
+    point inside the box |t| <= 30 to which the parameters are clipped.
     """
     x = series.values
     if x.size < 2:
@@ -344,7 +349,7 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     pairs = _pair_counts(x)
 
     def unpack(t):
-        t = np.clip(t, -30.0, 30.0)
+        t = np.clip(t, -_SEARCH_BOX, _SEARCH_BOX)
         return ModelParams(alpha=1.0 / (1.0 + math.exp(-t[0])),
                            mu=math.exp(t[1]), r=math.exp(t[2]))
 
@@ -359,6 +364,12 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
                             "maxiter": 500, "maxfev": 10000})
     params = unpack(res.x)
     value, n_under = _loglik_counts(params, *pairs)
+    converged, message = bool(res.success), str(res.message)
+    if np.any(np.abs(res.x) > _SEARCH_BOX):
+        # the reported parameters are the clipped edge, not the optimum
+        converged = False
+        message = (f"optimum (logit alpha, log mu, log r) = {res.x.tolist()} lies "
+                   f"outside the search box |t| <= {_SEARCH_BOX:g}")
     return CmlFit(params=params, loglik=value, n_iter=int(res.nit),
-                  converged=bool(res.success), n_underflow=n_under,
-                  message=str(res.message), init=init)
+                  converged=converged, n_underflow=n_under,
+                  message=message, init=init)

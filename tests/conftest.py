@@ -1,18 +1,34 @@
 """Shared helpers for the test suite."""
 
+import functools
+import math
+
 import numpy as np
 
-from nbinar import ModelParams, coeff_A, coeff_B, h_fold, selftest
+from nbinar import coeff_A, coeff_B, h_fold, selftest
 
 # (alpha, mu, r) triples exercised throughout; the middle one has
 # hand-checkable values (q_tilde = 0.5, beta = 0.25, theta = 2/3)
-PARAM_TRIPLES = [(0.3, 1.5, 0.8), (0.5, 2.0, 1.0), (0.7, 4.0, 2.5)]
+PARAM_TRIPLES = [(p.alpha, p.mu, p.r) for p in selftest.PARAM_GRID]
 
-S_GRID = np.linspace(0.0, 1.0, 21)
+S_GRID = selftest.S_GRID
 
 
 def models():
-    return [ModelParams(a, m, r) for a, m, r in PARAM_TRIPLES]
+    return list(selftest.PARAM_GRID)
+
+
+@functools.cache
+def _suite_result(name):
+    return selftest.SUITES[name]()
+
+
+def check_suite(name, label=None):
+    """Assert that the ``nbinar selftest`` suite ``name`` passes, printing its
+    margins; each suite runs once per session."""
+    ok, detail = _suite_result(name)
+    print(f"{label or name}: {detail}")
+    assert ok, f"{name}: {detail}"
 
 
 def tv_to_pmf(values, pmf):
@@ -31,6 +47,28 @@ def thinned_oracle(x, k, b, y):
     if k == 0:
         return (1.0 - b) ** x
     return sum(coeff_A(x, l, b) * coeff_B(k, l, y) for l in range(1, min(k, x) + 1))
+
+
+def geometric_transition_reference(alpha, mu, h, i, j):
+    """P(X_{t+h} = j | X_t = i) for r = 1 (geometric marginal), coded
+    independently with integer binomials only."""
+    a_h = alpha ** h
+    q_h = 1.0 / (1.0 + (1.0 - a_h) * mu)
+    if i == 0:
+        return q_h * (1.0 - q_h) ** j
+
+    def A(n, ii, y):
+        return math.comb(n, ii) * y ** ii * (1.0 - y) ** (n - ii)
+
+    def B(n, l, y):
+        return math.comb(n - 1, l - 1) * y ** l * (1.0 - y) ** (n - l)
+
+    total = A(i, 0, a_h * q_h) * B(j + 1, 1, q_h)
+    for k in range(1, j + 1):
+        inner = sum(A(i, l, a_h * q_h) * B(k, l, q_h)
+                    for l in range(1, min(i, k) + 1))
+        total += B(j - k + 1, 1, q_h) * inner
+    return total
 
 
 def thin_pmf_oracle(p, x, h, k):

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per stated criterion, at the stated tolerance.
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
-criterion; each test also prints its measured margin.
+criterion; each test also prints its measured margin.  Criteria 1, 3, 8 and
+12 run their `nbinar selftest` suite from `nbinar.selftest.SUITES`, the only
+implementation of those invariants.
 """
 
 import math
@@ -12,26 +14,28 @@ import pytest
 from nbinar import (
     MCConfig,
     ModelParams,
-    g_central_moments,
-    g_pgf,
     h_fold,
     joint_pgf,
     loglik,
-    nb_central_moments,
     nb_pgf,
     nb_pmf,
     run_experiment,
     simulate,
     thin_conditional_pmf,
     transition_prob,
-    transition_table,
 )
-from nbinar.thinning import odot_pgf, star_to_odot
+from nbinar.thinning import odot_pgf
 
-from conftest import PARAM_TRIPLES, models, tv_to_pmf
+from conftest import (
+    PARAM_TRIPLES,
+    S_GRID,
+    check_suite,
+    geometric_transition_reference,
+    models,
+    tv_to_pmf,
+)
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
-S_STEPS = np.linspace(0.0, 1.0, 21)  # s in {0, 0.05, ..., 1}
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +67,7 @@ def mc_cml_report():
 
 
 def test_criterion_01_functional_equation():
-    worst = 0.0
-    for p in models():
-        marg, innov = p.marginal(), p.innovation()
-        for s in S_STEPS:
-            residual = abs(nb_pgf(marg, s)
-                           - nb_pgf(marg, g_pgf(p, s)) * nb_pgf(innov, s))
-            worst = max(worst, residual)
-    print(f"criterion 1: max functional-equation residual {worst:.3e}")
-    assert worst <= 1e-12
+    check_suite("functional-equation", "criterion 1")
 
 
 def test_criterion_02_thinning_pmf_convolution_oracle():
@@ -98,43 +94,7 @@ def test_criterion_02_thinning_pmf_convolution_oracle():
 
 
 def test_criterion_03_transition_law():
-    worst_tail = 0.0
-    for p in models():
-        for h in (1, 2, 5):
-            table = transition_table(p, None, h)
-            worst_tail = max(worst_tail, float(np.max(table.tail_mass[:21])))
-    p11_gap = abs(transition_prob(P_HAND, 1, 1, 1) - 0.25)
-    # square the one-step law on a buffered window so intermediate states
-    # beyond J = 80 do not leak out of the product, then crop
-    one = transition_table(P_HAND, 180, 1).probs
-    two = transition_table(P_HAND, 80, 2).probs
-    ck_gap = float(np.max(np.abs((one @ one)[:81, :81] - two)))
-    print(f"criterion 3: tail {worst_tail:.3e}, p11 gap {p11_gap:.3e}, "
-          f"Chapman-Kolmogorov gap {ck_gap:.3e}")
-    assert worst_tail <= 1e-9
-    assert p11_gap <= 1e-14
-    assert ck_gap <= 1e-8
-
-
-def reference_transition_geometric(alpha, mu, h, i, j):
-    # independently coded geometric-marginal law using integer binomials
-    a_h = alpha ** h
-    q_h = 1.0 / (1.0 + (1.0 - a_h) * mu)
-    if i == 0:
-        return q_h * (1.0 - q_h) ** j
-
-    def A(n, ii, y):
-        return math.comb(n, ii) * y ** ii * (1.0 - y) ** (n - ii)
-
-    def B(n, l, y):
-        return math.comb(n - 1, l - 1) * y ** l * (1.0 - y) ** (n - l)
-
-    total = A(i, 0, a_h * q_h) * B(j + 1, 1, q_h)
-    for k in range(1, j + 1):
-        inner = sum(A(i, l, a_h * q_h) * B(k, l, q_h)
-                    for l in range(1, min(i, k) + 1))
-        total += B(j - k + 1, 1, q_h) * inner
-    return total
+    check_suite("transition-law", "criterion 3")
 
 
 def test_criterion_04_geometric_marginal_specialization():
@@ -144,7 +104,7 @@ def test_criterion_04_geometric_marginal_specialization():
         for h in (1, 2, 3, 4):
             for i in range(16):
                 for j in range(16):
-                    want = reference_transition_geometric(alpha, mu, h, i, j)
+                    want = geometric_transition_reference(alpha, mu, h, i, j)
                     worst = max(worst, abs(transition_prob(p, i, j, h) - want))
     print(f"criterion 4: max deviation from geometric reference {worst:.3e}")
     assert worst <= 1e-13
@@ -167,8 +127,8 @@ def test_criterion_05_stationarity_and_autocorrelation():
 
 def test_criterion_06_time_reversibility():
     for p in models():
-        for s1 in S_STEPS:
-            for s2 in S_STEPS:
+        for s1 in S_GRID:
+            for s2 in S_GRID:
                 assert joint_pgf(p, s1, s2) == joint_pgf(p, s2, s1)
     rng = np.random.default_rng(20250815)
     x = simulate(P_HAND, 100_000, rng).values
@@ -204,27 +164,7 @@ def test_criterion_07_moving_average_truncation():
 
 
 def test_criterion_08_h_fold_semigroup_and_bridges():
-    worst_comp, worst_bridge = 0.0, 0.0
-    for p in models():
-        a = star_to_odot(p)
-        for h in range(1, 7):
-            hp = h_fold(p, h)
-            q_want = p.r / (p.r + (1.0 - p.alpha ** h) * p.mu)
-            worst_bridge = max(
-                worst_bridge,
-                abs(hp.beta_h - hp.alpha_h * hp.q_tilde_h),
-                abs(1.0 - (1.0 - hp.beta_h) * hp.theta - hp.q_tilde_h),
-                abs(hp.q_tilde_h - q_want))
-            for s in S_STEPS:
-                composed = s
-                for _ in range(h):
-                    composed = odot_pgf(a.beta, a.theta, composed)
-                worst_comp = max(
-                    worst_comp, abs(odot_pgf(hp.beta_h, hp.theta, s) - composed))
-    print(f"criterion 8: composition residual {worst_comp:.3e}, "
-          f"bridge residual {worst_bridge:.3e}")
-    assert worst_comp <= 1e-12
-    assert worst_bridge <= 1e-13
+    check_suite("h-fold-bridge-and-semigroup", "criterion 8")
 
 
 def test_criterion_09_cls_yw_consistency_and_clt(mc_means_report,
@@ -289,20 +229,4 @@ def test_criterion_11_cml_recovery(mc_cml_report):
 
 
 def test_criterion_12_stationary_variance_decomposition():
-    grid = [(a, mu, r) for a in (0.3, 0.5, 0.7)
-            for (mu, r) in ((1.5, 0.8), (2.0, 1.0), (4.0, 2.5))]
-    worst = 0.0
-    for alpha, mu, r in grid:
-        p = ModelParams(alpha, mu, r)
-        sigma2 = nb_central_moments(p.marginal())[1]
-        lhs = mu * g_central_moments(p)[1] + nb_central_moments(p.innovation())[1]
-        worst = max(worst, abs(lhs - (1.0 - alpha ** 2) * sigma2)
-                    / abs((1.0 - alpha ** 2) * sigma2))
-    p = P_HAND
-    sigma2 = nb_central_moments(p.marginal())[1]
-    lhs = p.mu * g_central_moments(p)[1] + nb_central_moments(p.innovation())[1]
-    separation = abs(lhs - p.alpha * (1.0 - p.alpha) * sigma2)
-    print(f"criterion 12: identity residual {worst:.3e}, "
-          f"separation from alpha(1-alpha) form {separation:.3f}")
-    assert worst <= 1e-12
-    assert separation > 0.1
+    check_suite("stationary-variance-identity", "criterion 12")

@@ -8,7 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from nbinar import ModelParams, Series, estimation, simulate, transition_prob, write_series
+from nbinar import (
+    ModelParams,
+    Series,
+    estimation,
+    selftest,
+    simulate,
+    transition_prob,
+    transition_table,
+    write_series,
+)
 from nbinar.cli import main
 from nbinar.montecarlo import CSV_COLUMNS, ESTIMATORS, _fit_row
 
@@ -268,7 +277,25 @@ def test_selftest_passes(capsys):
     code, out = run(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
-    assert "functional-equation" in out
+    for name in selftest.SUITES:
+        assert f"PASS {name}: " in out
+    # the reported tail mass is the maximum over every grid triple and h
+    tail = max(float(transition_table(p, None, h).tail_mass[:21].max())
+               for p in selftest.PARAM_GRID for h in (1, 2, 5))
+    assert f"max tail {tail:.3e};" in out
+
+
+def test_selftest_suite_fails_on_a_nan_residual(monkeypatch):
+    # the NaN comes after finite residuals, where max() would drop it
+    real = selftest.g_central_moments
+
+    def nan_variance_at_alpha_07(p):
+        mean, m2, m3, m4 = real(p)
+        return mean, math.nan if p.alpha == 0.7 else m2, m3, m4
+
+    monkeypatch.setattr(selftest, "g_central_moments", nan_variance_at_alpha_07)
+    ok, detail = selftest.SUITES["stationary-variance-identity"]()
+    assert not ok and "residual nan" in detail
 
 
 def test_selftest_mutation_hook_fails(capsys):

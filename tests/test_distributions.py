@@ -25,6 +25,8 @@ from nbinar import (
 )
 from nbinar.distributions import ShiftedGeomParams
 
+from conftest import check_suite
+
 NB_GRID = [NBParams(r, mu) for r in (0.5, 1.0, 2.5) for mu in (0.5, 2.0, 5.0)]
 
 
@@ -143,12 +145,7 @@ def test_nb_moments_overdispersed():
 
 
 def test_nb_sample_distribution():
-    rng = np.random.default_rng(20250815)
-    draws = nb_sample(NBParams(1.0, 2.0), rng, size=200_000)
-    p = NBParams(1.0, 2.0)
-    from conftest import tv_to_pmf
-
-    assert tv_to_pmf(draws, lambda k: nb_pmf(p, k)) < 0.01
+    check_suite("sampler-law")
 
 
 def test_nb_sample_mean_clt_bound():

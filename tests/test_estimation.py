@@ -24,7 +24,7 @@ from nbinar import (
 )
 from nbinar.estimation import _LOG_UNDERFLOW
 
-from conftest import PARAM_TRIPLES, models
+from conftest import check_suite, models
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 HAND_SERIES = Series(np.array([1, 2, 1, 2, 1]))
@@ -190,17 +190,7 @@ def test_innovation_moment_bookkeeping():
 
 
 def test_stationary_variance_identity():
-    # mu sigma_G^2 + sigma_eps^2 = (1 - alpha^2) sigma^2, not alpha(1-alpha) sigma^2
-    for p in models():
-        _, sigma2, _, _ = nb_central_moments(p.marginal())
-        _, sg2, _, _ = g_central_moments(p)
-        se2 = nb_central_moments(p.innovation())[1]
-        lhs = p.mu * sg2 + se2
-        assert_allclose(lhs, (1.0 - p.alpha ** 2) * sigma2, rtol=1e-12)
-    p = P_HAND
-    sigma2 = nb_central_moments(p.marginal())[1]
-    lhs = p.mu * g_central_moments(p)[1] + nb_central_moments(p.innovation())[1]
-    assert abs(lhs - p.alpha * (1.0 - p.alpha) * sigma2) > 0.1
+    check_suite("stationary-variance-identity")
 
 
 def test_predicted_cov_hand_matrices():
@@ -216,11 +206,7 @@ def test_predicted_cov_hand_matrices():
 
 
 def test_predicted_cov_structure():
-    for p in models():
-        cov = predicted_cov(p)
-        for mat in (cov.sigma_means, cov.sigma_alpha_mu, cov.sigma_vars):
-            assert_allclose(mat, mat.T, rtol=1e-12)
-            assert np.all(np.diag(mat) >= 0.0)
+    check_suite("covariance-structure")
 
 
 def sigma_vars_oracle(p):
@@ -281,6 +267,14 @@ def test_cml_fit_smoke_recovery():
     assert abs(fit.params.mu - 2.0) < 0.4
     assert 0.6 < fit.params.r < 1.6
     assert fit.n_iter <= 500
+
+
+def test_cml_fit_optimum_outside_search_box_is_not_converged():
+    # the simplex runs logit alpha off to about -3e4, which the search clips to -30
+    fit = cml_fit(Series(np.array([1, 2] * 15)))
+    assert fit.params.alpha < 1e-13
+    assert not fit.converged
+    assert "outside the search box" in fit.message
 
 
 def test_cml_fit_constant_series_falls_back_to_default_init():

@@ -1,6 +1,7 @@
 """Tests for simulation, transition laws, pgfs, and series I/O."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,7 +18,6 @@ from nbinar import (
     autocorrelation,
     conditional_moments,
     conditional_pgf,
-    g_pgf,
     h_fold,
     joint_pgf,
     ma_sample,
@@ -35,35 +35,17 @@ from nbinar import (
 from nbinar.process import MAX_STATE, default_max_state, transition_rows
 from nbinar.thinning import odot_pgf
 
-from conftest import S_GRID, models, thin_pmf_oracle, transition_row_oracle, tv_to_pmf
+from conftest import (
+    S_GRID,
+    check_suite,
+    geometric_transition_reference,
+    models,
+    thin_pmf_oracle,
+    transition_row_oracle,
+    tv_to_pmf,
+)
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
-
-
-def trans_order_1_reference(alpha, mu, i, j):
-    # geometric-marginal one-step law, coded with integer binomials only
-    q = 1.0 / (1.0 + (1.0 - alpha) * mu)
-    return trans_order_h_reference(alpha, mu, 1, i, j, q_override=q)
-
-
-def trans_order_h_reference(alpha, mu, h, i, j, q_override=None):
-    a_h = alpha ** h
-    q_h = q_override if q_override is not None else 1.0 / (1.0 + (1.0 - a_h) * mu)
-    if i == 0:
-        return q_h * (1.0 - q_h) ** j
-
-    def A(n, ii, y):
-        return math.comb(n, ii) * y ** ii * (1.0 - y) ** (n - ii)
-
-    def B(n, l, y):
-        return math.comb(n - 1, l - 1) * y ** l * (1.0 - y) ** (n - l)
-
-    total = A(i, 0, a_h * q_h) * B(j + 1, 1, q_h)
-    for k in range(1, j + 1):
-        inner = sum(A(i, l, a_h * q_h) * B(k, l, q_h)
-                    for l in range(1, min(i, k) + 1))
-        total += B(j - k + 1, 1, q_h) * inner
-    return total
 
 
 def test_series_validation():
@@ -141,11 +123,11 @@ def test_transition_prob_matches_geometric_reference():
         for h in (1, 2, 4):
             for i in range(0, 16, 3):
                 for j in range(0, 16, 3):
-                    want = trans_order_h_reference(alpha, mu, h, i, j)
+                    want = geometric_transition_reference(alpha, mu, h, i, j)
                     got = transition_prob(p, i, j, h)
                     assert abs(got - want) <= 1e-13
     assert abs(transition_prob(ModelParams(0.5, 2.0, 1.0), 4, 7, 1)
-               - trans_order_1_reference(0.5, 2.0, 4, 7)) <= 1e-13
+               - geometric_transition_reference(0.5, 2.0, 1, 4, 7)) <= 1e-13
 
 
 def test_transition_rows_match_scalar():
@@ -234,6 +216,33 @@ def test_transition_row_with_underflowing_start_probability():
     assert_allclose(rows[0], transition_row_oracle(p, 0, 3000), rtol=1e-10)
 
 
+def peak_bytes(fn):
+    """Peak bytes traced while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transition_rows_peak_memory():
+    rows, j_max = np.arange(200), 2400
+    # forward branch: one rows x (J + 1) buffer of log ratios, which becomes
+    # the result; a path holding a (J + 1)^2 matrix would need 46 MB
+    p = ModelParams(0.9, 50.0, 0.5)
+    assert branch_margin(p) > 0.0
+    peak = peak_bytes(lambda: transition_rows(p, rows, j_max))
+    assert peak <= 2 * rows.size * (j_max + 1) * 8
+    # mixture branch: the binomial weights (rows x N) and the NB kernel
+    # (N x (J + 1)) with its temporaries, N = max(rows) + 1
+    p = ModelParams(0.95, 10.0, 5.0)
+    assert branch_margin(p) < 0.0
+    n = int(rows.max()) + 1
+    peak = peak_bytes(lambda: transition_rows(p, rows, j_max))
+    assert peak <= 4 * (rows.size * n + n * (j_max + 1)) * 8
+
+
 def pgf_coefficient_mpmath(p, i, j, h):
     """[s^j] of q^r u(s)^i v(s)^-(i+r) at 50 digits: the Cauchy product of the
     binomial series of u^i and the negative binomial series of v^-(i+r)."""
@@ -276,18 +285,11 @@ def test_transition_table_structure():
 
 
 def test_transition_table_chapman_kolmogorov():
-    # square the one-step law on a buffered window so intermediate states
-    # beyond the crop do not leak out of the product
-    one = transition_table(P_HAND, 180, 1).probs
-    two = transition_table(P_HAND, 80, 2).probs
-    assert np.max(np.abs((one @ one)[:81, :81] - two)) <= 1e-8
+    check_suite("transition-law")
 
 
 def test_transition_table_preserves_stationary_law():
-    table = transition_table(P_HAND, 180, 1)
-    pi = nb_pmf_vector(P_HAND.marginal(), 180)
-    residual = np.abs((pi @ table.probs)[:80] - pi[:80])
-    assert np.max(residual) <= 1e-8
+    check_suite("transition-law")
 
 
 def test_default_max_state_covers_marginal():
@@ -400,39 +402,6 @@ def test_ma_sample_truncation_at_zero_is_innovation():
     draws = ma_sample(P_HAND, 0, rng, size=100_000)
     innov = P_HAND.innovation()
     assert tv_to_pmf(draws, lambda k: nb_pmf(innov, k)) < 0.01
-
-
-def test_ma_sample_approaches_marginal():
-    rng = np.random.default_rng(20250815)
-    draws = ma_sample(P_HAND, 50, rng, size=100_000)
-    marg = P_HAND.marginal()
-    assert tv_to_pmf(draws, lambda k: nb_pmf(marg, k)) < 0.015
-
-
-def test_ma_pgf_product_residual_decreases():
-    p = P_HAND
-    marg, innov = p.marginal(), p.innovation()
-    s = 0.5
-    residuals = []
-    for J in (0, 1, 2, 5, 10, 20, 50):
-        product = nb_pgf(innov, s)
-        for j in range(1, J + 1):
-            hj = h_fold(p, j)
-            product *= nb_pgf(innov, odot_pgf(hj.beta_h, hj.theta, s))
-        residuals.append(abs(product - nb_pgf(marg, s)))
-    assert all(a > b for a, b in zip(residuals, residuals[1:]))
-
-
-def test_empirical_time_reversibility():
-    rng = np.random.default_rng(20250815)
-    x = simulate(P_HAND, 100_000, rng).values
-    kmax = 15
-    counts = np.zeros((kmax + 1, kmax + 1))
-    mask = (x[:-1] <= kmax) & (x[1:] <= kmax)
-    np.add.at(counts, (x[:-1][mask], x[1:][mask]), 1.0)
-    total = counts.sum()
-    tv = 0.5 * np.abs(counts - counts.T).sum() / total
-    assert tv < 0.02
 
 
 def test_series_io_round_trip(tmp_path):

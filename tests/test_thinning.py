@@ -16,7 +16,6 @@ from nbinar import (
     g_pgf,
     g_pmf,
     h_fold,
-    nb_pgf,
     odot_to_star,
     star_to_odot,
     thin_conditional_pmf,
@@ -24,7 +23,7 @@ from nbinar import (
 )
 from nbinar.thinning import odot_pgf
 
-from conftest import PARAM_TRIPLES, S_GRID, models, tv_to_pmf
+from conftest import S_GRID, check_suite, models
 
 
 def g_pmf_closed(beta, theta, k):
@@ -159,26 +158,11 @@ def test_h_fold_hand_values():
 
 
 def test_h_fold_bridge_identities():
-    for p in models():
-        for h in range(1, 7):
-            hp = h_fold(p, h)
-            assert_allclose(hp.beta_h, hp.alpha_h * hp.q_tilde_h, rtol=1e-13)
-            assert_allclose(1.0 - (1.0 - hp.beta_h) * hp.theta, hp.q_tilde_h,
-                            rtol=1e-13)
-            q_want = p.r / (p.r + (1.0 - p.alpha ** h) * p.mu)
-            assert_allclose(hp.q_tilde_h, q_want, rtol=1e-13)
+    check_suite("h-fold-bridge-and-semigroup")
 
 
 def test_h_fold_semigroup_via_pgf_composition():
-    for p in models():
-        a = star_to_odot(p)
-        for h in range(1, 7):
-            hp = h_fold(p, h)
-            for s in S_GRID:
-                composed = s
-                for _ in range(h):
-                    composed = odot_pgf(a.beta, a.theta, composed)
-                assert abs(odot_pgf(hp.beta_h, hp.theta, s) - composed) <= 1e-12
+    check_suite("h-fold-bridge-and-semigroup")
 
 
 def test_h_fold_beta_decreases_to_zero():
@@ -224,10 +208,7 @@ def test_thin_conditional_pmf_matches_convolution_oracle():
 
 
 def test_thin_conditional_pmf_normalizes():
-    p = ModelParams(0.5, 2.0, 1.0)
-    for x, h in [(1, 1), (3, 1), (7, 2), (20, 5)]:
-        total = sum(thin_conditional_pmf(p, x, h, k) for k in range(500))
-        assert abs(total - 1.0) <= 1e-10
+    check_suite("thinning-pmf-normalization")
 
 
 def conv_g_reference(alpha, mu, x, k):
@@ -261,10 +242,7 @@ def test_thin_sample_zero_input():
 
 
 def test_thin_sample_distribution():
-    rng = np.random.default_rng(20250815)
-    p = ModelParams(0.5, 2.0, 1.0)
-    draws = np.array([thin_sample(p, 3, rng) for _ in range(200_000)])
-    assert tv_to_pmf(draws, lambda k: thin_conditional_pmf(p, 3, 1, k)) < 0.01
+    check_suite("sampler-law")
 
 
 def test_thin_sample_mean_clt_bound():
@@ -277,15 +255,7 @@ def test_thin_sample_mean_clt_bound():
 
 
 def test_functional_equation_on_grid():
-    # marginal pgf solves Psi_X(s) = Psi_X(Psi_G(s)) * Psi_eps(s)
-    worst = 0.0
-    for p in models():
-        marg, innov = p.marginal(), p.innovation()
-        for s in S_GRID:
-            lhs = nb_pgf(marg, s)
-            rhs = nb_pgf(marg, g_pgf(p, s)) * nb_pgf(innov, s)
-            worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-12
+    check_suite("functional-equation")
 
 
 def test_invalid_model_params():
