@@ -92,8 +92,6 @@ def _model_params(args) -> ModelParams:
 
 def cmd_simulate(args) -> int:
     p = _model_params(args)
-    if args.n < 1:
-        raise ParameterError(f"n must be positive, got {args.n}")
     rng = np.random.default_rng(args.seed)
     series = simulate(p, args.n, rng)
     write_series(args.out, series)
@@ -108,8 +106,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_transition(args) -> int:
     p = _model_params(args)
-    if args.h < 1:
-        raise ParameterError(f"h must be positive, got {args.h}")
     if args.table is not None:
         if args.out is None:
             raise ParameterError("--table requires --out")

@@ -19,14 +19,14 @@ def models():
 
 
 @functools.cache
-def _suite_result(name):
+def suite_result(name):
     return selftest.SUITES[name]()
 
 
 def check_suite(name, label=None):
     """Assert that the ``nbinar selftest`` suite ``name`` passes, printing its
     margins; each suite runs once per session."""
-    ok, detail = _suite_result(name)
+    ok, detail = suite_result(name)
     print(f"{label or name}: {detail}")
     assert ok, f"{name}: {detail}"
 

@@ -24,6 +24,7 @@ from nbinar import (
     thin_conditional_pmf,
     transition_prob,
 )
+from nbinar.selftest import _worst
 from nbinar.thinning import odot_pgf
 
 from conftest import (
@@ -88,7 +89,7 @@ def test_criterion_02_thinning_pmf_convolution_oracle():
                                    for k in range(16)])
                 got = np.zeros(16)
                 got[:min(16, conv.size)] = conv[:16]
-                worst = max(worst, float(np.max(np.abs(closed - got))))
+                worst = _worst(worst, *np.abs(closed - got))
     print(f"criterion 2: max thinning pmf deviation {worst:.3e}")
     assert worst <= 1e-12
 
@@ -105,7 +106,7 @@ def test_criterion_04_geometric_marginal_specialization():
             for i in range(16):
                 for j in range(16):
                     want = geometric_transition_reference(alpha, mu, h, i, j)
-                    worst = max(worst, abs(transition_prob(p, i, j, h) - want))
+                    worst = _worst(worst, abs(transition_prob(p, i, j, h) - want))
     print(f"criterion 4: max deviation from geometric reference {worst:.3e}")
     assert worst <= 1e-13
 
@@ -171,13 +172,10 @@ def test_criterion_09_cls_yw_consistency_and_clt(mc_means_report,
                                                  mc_gap_report):
     blocks = {b["estimator"]: b for b in mc_means_report.blocks}
     medians = [g["quantiles"]["0.5"] for g in mc_gap_report.gaps]
-    worst = {"alpha": 0.0, "mu_eps": 0.0, "cov": 0.0}
-    for block in (blocks["cls"], blocks["yw"]):
-        worst["alpha"] = max(worst["alpha"],
-                             abs(block["mean"]["alpha_hat"] - 0.5))
-        worst["mu_eps"] = max(worst["mu_eps"],
-                              abs(block["mean"]["mu_eps_hat"] - 1.0))
-        worst["cov"] = max(worst["cov"], block["max_relative_deviation"])
+    pair = (blocks["cls"], blocks["yw"])
+    worst = {"alpha": _worst(*(abs(b["mean"]["alpha_hat"] - 0.5) for b in pair)),
+             "mu_eps": _worst(*(abs(b["mean"]["mu_eps_hat"] - 1.0) for b in pair)),
+             "cov": _worst(*(b["max_relative_deviation"] for b in pair))}
     print(f"criterion 9: |alpha bias| {worst['alpha']:.4f}, "
           f"|mu_eps bias| {worst['mu_eps']:.4f}, "
           f"cov max rel dev {worst['cov']:.4f}, "

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 
@@ -20,6 +21,8 @@ from nbinar import (
 )
 from nbinar.cli import main
 from nbinar.montecarlo import CSV_COLUMNS, ESTIMATORS, _fit_row
+
+from conftest import check_suite, suite_result
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 BASE = ["--alpha", "0.5", "--mu", "2", "--r", "1"]
@@ -51,6 +54,7 @@ def test_transition_rejects_bad_params(capsys):
     code = main(["transition", "--alpha", "1.5", "--mu", "2", "--r", "1",
                  "--i", "0", "--j", "0"])
     assert code == 2
+    assert main(["transition", *BASE, "--i", "0", "--j", "0", "--h", "0"]) == 2
 
 
 def test_transition_table_csv(tmp_path, capsys):
@@ -103,6 +107,9 @@ def test_simulate_rejects_bad_alpha(tmp_path):
     code = main(["simulate", "--alpha", "1.5", "--mu", "2", "--r", "1",
                  "--n", "50", "--seed", "1", "--out", str(tmp_path / "x.txt")])
     assert code == 2
+    dest = tmp_path / "empty.txt"
+    assert main(["simulate", *BASE, "--n", "0", "--seed", "1", "--out", str(dest)]) == 2
+    assert not dest.exists()
 
 
 def test_simulate_io_failure(tmp_path):
@@ -273,7 +280,15 @@ def test_mc_schema_violation_exit_code(tmp_path):
     assert main(["mc", "--config", str(cfg_path)]) == 2
 
 
-def test_selftest_passes(capsys):
+@pytest.mark.parametrize("name", selftest.SUITES)
+def test_selftest_suite(name):
+    check_suite(name)
+
+
+def test_selftest_passes(capsys, monkeypatch):
+    # the command runs each suite from the session's cache, not a second time
+    monkeypatch.setattr(selftest, "SUITES", {
+        name: functools.partial(suite_result, name) for name in selftest.SUITES})
     code, out = run(capsys, ["selftest"])
     assert code == 0
     assert "FAIL" not in out
@@ -301,4 +316,6 @@ def test_selftest_suite_fails_on_a_nan_residual(monkeypatch):
 def test_selftest_mutation_hook_fails(capsys):
     code, out = run(capsys, ["selftest", "--mutate"])
     assert code == 1
-    assert "FAIL" in out
+    fail, summary = out.splitlines()
+    assert fail.startswith("FAIL functional-equation: ")
+    assert summary == "selftest: FAILED suites: functional-equation"

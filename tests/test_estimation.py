@@ -24,7 +24,7 @@ from nbinar import (
 )
 from nbinar.estimation import _LOG_UNDERFLOW
 
-from conftest import check_suite, models
+from conftest import models
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 HAND_SERIES = Series(np.array([1, 2, 1, 2, 1]))
@@ -189,10 +189,6 @@ def test_innovation_moment_bookkeeping():
         assert_allclose(var_eps - mean_eps, mean_eps ** 2 / p.r, rtol=1e-13)
 
 
-def test_stationary_variance_identity():
-    check_suite("stationary-variance-identity")
-
-
 def test_predicted_cov_hand_matrices():
     cov = predicted_cov(P_HAND)
     assert_allclose(cov.sigma_means,
@@ -203,10 +199,6 @@ def test_predicted_cov_hand_matrices():
                     rtol=1e-12)
     assert_allclose(cov.sigma_vars,
                     np.array([[84.0, -108.0], [-108.0, 225.0]]), rtol=1e-12)
-
-
-def test_predicted_cov_structure():
-    check_suite("covariance-structure")
 
 
 def sigma_vars_oracle(p):

