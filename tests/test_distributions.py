@@ -25,6 +25,7 @@ from nbinar import (
 )
 from nbinar.distributions import ShiftedGeomParams
 
+from conftest import check_suite
 
 NB_GRID = [NBParams(r, mu) for r in (0.5, 1.0, 2.5) for mu in (0.5, 2.0, 5.0)]
 
@@ -141,6 +142,10 @@ def test_nb_moments_overdispersed():
         mean, m2, _, m4 = nb_central_moments(params)
         assert m2 > mean  # overdispersion
         assert m4 >= m2 ** 2  # Jensen
+
+
+def test_nb_sample_distribution():
+    check_suite("sampler-law")
 
 
 def test_nb_sample_mean_clt_bound():

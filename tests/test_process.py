@@ -37,6 +37,7 @@ from nbinar.thinning import odot_pgf
 
 from conftest import (
     S_GRID,
+    check_suite,
     models,
     thin_pmf_oracle,
     transition_row_oracle,
@@ -254,6 +255,14 @@ def test_transition_table_structure():
     assert np.all(table.tail_mass[:21] <= 1e-9)
     with pytest.raises(ParameterError):
         transition_table(P_HAND, 6000)
+
+
+def test_transition_table_chapman_kolmogorov():
+    check_suite("transition-law")
+
+
+def test_transition_table_preserves_stationary_law():
+    check_suite("transition-law")
 
 
 def test_default_max_state_covers_marginal():

@@ -23,7 +23,7 @@ from nbinar import (
 )
 from nbinar.thinning import odot_pgf
 
-from conftest import S_GRID, models
+from conftest import S_GRID, check_suite, models
 
 
 def g_pmf_closed(beta, theta, k):
@@ -152,6 +152,14 @@ def test_h_fold_hand_values():
     assert_allclose([h1.alpha_h, h1.beta_h], [0.5, a.beta], rtol=1e-14)
 
 
+def test_h_fold_bridge_identities():
+    check_suite("h-fold-bridge-and-semigroup")
+
+
+def test_h_fold_semigroup_via_pgf_composition():
+    check_suite("h-fold-bridge-and-semigroup")
+
+
 def test_h_fold_beta_decreases_to_zero():
     for p in models():
         betas = [h_fold(p, h).beta_h for h in range(1, 40)]
@@ -210,6 +218,10 @@ def test_thin_sample_zero_input():
     rng = np.random.default_rng(5)
     p = ModelParams(0.5, 2.0, 1.0)
     assert all(thin_sample(p, 0, rng) == 0 for _ in range(50))
+
+
+def test_thin_sample_distribution():
+    check_suite("sampler-law")
 
 
 def test_thin_sample_mean_clt_bound():
