@@ -5,8 +5,9 @@ thinning operator whose counts have a linear-fractional pgf, NB(r, mu)
 marginal, and NB(r, (1-alpha) mu) innovations.  The package provides the
 probability primitives, exact one- and h-step transition laws, stationary
 simulation, conditional least squares / Yule-Walker / variance-regression /
-conditional maximum likelihood estimators with predicted asymptotic
-covariances, and a Monte Carlo harness, all behind a small CLI.
+conditional maximum likelihood estimators, predicted asymptotic covariances
+for the three moment estimators (none for maximum likelihood), and a Monte
+Carlo harness, all behind a small CLI.
 """
 
 from .distributions import (

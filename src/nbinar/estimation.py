@@ -2,9 +2,11 @@
 
 Conditional least squares for the mean pair (alpha, mu_eps), Yule-Walker
 moment matching, a second-stage least squares pass on squared residuals for
-(sigma_G^2, sigma_eps^2) with derived sigma^2 and r estimators, conditional
-maximum likelihood by simplex search, and the predicted asymptotic covariance
-matrices for all of them.
+(sigma_G^2, sigma_eps^2) with derived sigma^2 and r estimators, and
+conditional maximum likelihood by simplex search.  Both least squares stages
+are one regression on (X_{t-1}, 1), and their predicted asymptotic covariance
+matrices are one sandwich; Yule-Walker shares the mean-pair matrix.  The
+likelihood fit has no predicted covariance.
 
 Sum-index convention: for a series of length m the first observation is the
 conditioning value X_0 and the regression sums run over the n = m - 1
@@ -72,7 +74,9 @@ class VarianceEstimates:
     (mu_eps sigma_G^2 + (1 - alpha) sigma_eps^2) / ((1 - alpha)^2 (1 + alpha)),
     reported separately.  ``r_hat`` = mu_eps^2 / (sigma_eps^2 - mu_eps) is
     defined only under overdispersion (sigma_eps^2 > mu_eps); otherwise it is
-    NaN and ``r_defined`` is False.
+    NaN and ``r_defined`` is False.  ``means`` holds the (alpha, mu_eps) the
+    residuals used and the derived mu: the ``cls_means`` fit, or the known
+    values with method "known".
     """
 
     sigma_g2_hat: float
@@ -83,6 +87,7 @@ class VarianceEstimates:
     r_defined: bool
     residual_mode: str
     n: int
+    means: MeanEstimates
 
 
 @dataclass(frozen=True)
@@ -111,36 +116,38 @@ class CmlFit:
     init: ModelParams
 
 
-def _regression_sums(x: np.ndarray):
-    prev = x[:-1]
-    n = prev.size
-    sx = prev.sum()
-    sxx = prev @ prev
-    den = n * sxx - sx * sx
-    return prev, n, sx, den
+def _mean_estimates(alpha, mu_eps, method: str, n: int, mu=None) -> MeanEstimates:
+    """MeanEstimates with mu = mu_eps / (1 - alpha) unless given."""
+    if mu is None:
+        mu = mu_eps / (1.0 - alpha) if alpha != 1.0 else math.nan
+    return MeanEstimates(alpha_hat=float(alpha), mu_eps_hat=float(mu_eps),
+                         mu_hat=float(mu), method=method, n=n,
+                         in_range=(0.0 < alpha < 1.0) and mu_eps > 0.0)
+
+
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least squares slope and intercept of y on (x, 1), over n >= 2 pairs.
+
+    slope = (n sum x y - sum x sum y) / (n sum x^2 - (sum x)^2),
+    intercept = (sum y - slope sum x) / n.
+    """
+    n = x.size
+    if n < 2:
+        raise ParameterError("need at least 3 observations")
+    sx, sy = x.sum(), y.sum()
+    den = n * (x @ x) - sx * sx
+    if den == 0:
+        raise DegenerateSeriesError("constant regressor: slope undefined")
+    slope = (n * (x @ y) - sx * sy) / den
+    return slope, (sy - slope * sx) / n
 
 
 def cls_means(series: Series) -> MeanEstimates:
-    """Least squares fit of X_t on (X_{t-1}, 1).
-
-    alpha_hat = (n sum X_{t-1} X_t - sum X_{t-1} sum X_t)
-                / (n sum X_{t-1}^2 - (sum X_{t-1})^2),
-    mu_eps_hat = (sum X_t - alpha_hat sum X_{t-1}) / n.
-    """
+    """Least squares fit of X_t on (X_{t-1}, 1): alpha_hat is the slope and
+    mu_eps_hat the intercept."""
     x = series.values.astype(float)
-    if x.size < 3:
-        raise ParameterError("need at least 3 observations")
-    prev, n, sx, den = _regression_sums(x)
-    if den == 0:
-        raise DegenerateSeriesError("constant regressor: slope undefined")
-    curr = x[1:]
-    sy = curr.sum()
-    alpha = (n * (prev @ curr) - sx * sy) / den
-    mu_eps = (sy - alpha * sx) / n
-    mu = mu_eps / (1.0 - alpha) if alpha != 1.0 else math.nan
-    in_range = (0.0 < alpha < 1.0) and mu_eps > 0.0
-    return MeanEstimates(alpha_hat=float(alpha), mu_eps_hat=float(mu_eps),
-                         mu_hat=float(mu), method="cls", n=n, in_range=in_range)
+    alpha, mu_eps = _ols(x[:-1], x[1:])
+    return _mean_estimates(alpha, mu_eps, "cls", x.size - 1)
 
 
 def yw_means(series: Series) -> MeanEstimates:
@@ -159,52 +166,36 @@ def yw_means(series: Series) -> MeanEstimates:
     if den == 0:
         raise DegenerateSeriesError("constant series: zero sample variance")
     alpha = (d[:-1] @ d[1:]) / den
-    mu = xbar
-    mu_eps = (1.0 - alpha) * xbar
-    in_range = (0.0 < alpha < 1.0) and mu_eps > 0.0
-    return MeanEstimates(alpha_hat=float(alpha), mu_eps_hat=float(mu_eps),
-                         mu_hat=float(mu), method="yw", n=int(x.size),
-                         in_range=in_range)
+    return _mean_estimates(alpha, (1.0 - alpha) * xbar, "yw", int(x.size), mu=xbar)
 
 
-def cls_variances(series: Series, means: MeanEstimates | None = None, *,
-                  known_alpha: float | None = None,
+def cls_variances(series: Series, *, known_alpha: float | None = None,
                   known_mu_eps: float | None = None) -> VarianceEstimates:
     """Least squares fit of the squared residuals on (X_{t-1}, 1).
 
     Residuals are U_t = X_t - alpha X_{t-1} - mu_eps with (alpha, mu_eps)
-    either estimated by ``cls_means`` (default, or pass ``means``) or supplied
-    as known values via the keywords, in which case the derived quantities use
-    the known values too.
+    either estimated by ``cls_means`` (default) or supplied as known values
+    via the keywords, in which case the derived quantities use the known
+    values too.  The pair used is reported as ``means``.
     """
-    x = series.values.astype(float)
-    if x.size < 3:
-        raise ParameterError("need at least 3 observations")
     if (known_alpha is None) != (known_mu_eps is None):
         raise ParameterError("known_alpha and known_mu_eps must be given together")
-    if known_alpha is not None:
-        alpha, mu_eps = float(known_alpha), float(known_mu_eps)
-        mode = "known-means"
+    x = series.values.astype(float)
+    prev = x[:-1]
+    if known_alpha is None:
+        means, mode = cls_means(series), "estimated-means"
     else:
-        if means is None:
-            means = cls_means(series)
-        alpha, mu_eps = means.alpha_hat, means.mu_eps_hat
-        mode = "estimated-means"
+        means = _mean_estimates(float(known_alpha), float(known_mu_eps), "known",
+                                prev.size)
+        mode = "known-means"
+    alpha, mu_eps = means.alpha_hat, means.mu_eps_hat
+    sigma_g2, sigma_eps2 = _ols(prev, (x[1:] - alpha * prev - mu_eps) ** 2)
 
-    prev, n, sx, den = _regression_sums(x)
-    if den == 0:
-        raise DegenerateSeriesError("constant regressor: slope undefined")
-    u2 = (x[1:] - alpha * prev - mu_eps) ** 2
-    su = u2.sum()
-    sigma_g2 = (n * (prev @ u2) - sx * su) / den
-    sigma_eps2 = (su - sigma_g2 * sx) / n
-
-    if alpha != 1.0:
-        mu = mu_eps / (1.0 - alpha)
-        one_m_a2 = 1.0 - alpha * alpha
-        sigma2 = (mu * sigma_g2 + sigma_eps2) / one_m_a2 if one_m_a2 != 0.0 else math.nan
+    one_m_a2 = 1.0 - alpha * alpha
+    if one_m_a2 != 0.0:
+        sigma2 = (means.mu_hat * sigma_g2 + sigma_eps2) / one_m_a2
         sigma2_a = (mu_eps * sigma_g2 + (1.0 - alpha) * sigma_eps2) \
-            / ((1.0 - alpha) ** 2 * (1.0 + alpha)) if one_m_a2 != 0.0 else math.nan
+            / ((1.0 - alpha) ** 2 * (1.0 + alpha))
     else:
         sigma2 = sigma2_a = math.nan
     r_defined = sigma_eps2 > mu_eps and mu_eps > 0.0
@@ -214,64 +205,54 @@ def cls_variances(series: Series, means: MeanEstimates | None = None, *,
                              sigma2_hat=float(sigma2),
                              sigma2_hat_formula_a=float(sigma2_a),
                              r_hat=float(r_hat), r_defined=bool(r_defined),
-                             residual_mode=mode, n=n)
+                             residual_mode=mode, n=prev.size, means=means)
 
 
-def _expectations_rx(p: ModelParams) -> tuple[float, float, float]:
-    """E[R(X) X^m] for m = 2, 1, 0 in closed form.
+def _sandwich(x_moments: tuple, c2: float, c1: float, c0: float) -> np.ndarray:
+    """Asymptotic covariance of the sqrt(n)-scaled least squares (slope,
+    intercept) of Y_t on (X_{t-1}, 1) when Var(Y_t | X_{t-1} = x) is
+    c2 x^2 + c1 x + c0 (Klimko & Nelson 1978): Phi^{-1} Sigma Phi^{-T} with
+    Phi = E[(X, 1)'(X, 1)] and Sigma the same weighted by the variance.
 
-    R(x) = 2 sigma_G^4 x^2 + (m4_G + 4 sigma_G^2 sigma_eps^2 - 3 sigma_G^4) x
-           + (m4_eps - sigma_eps^4)
-    is the conditional variance of the squared residual given X_{t-1} = x.
-    The raw moments E[X^k], k <= 4, follow from the factorial moments
-    F_k = Gamma(r + k) / Gamma(r) (mu / r)^k of X ~ NB(r, mu).
+    x_moments is (mu, m2, m3, m4) of X.  The regressor is centred on mu,
+    where Phi = diag(m2, 1) and Sigma needs only central moments, and the
+    result is sheared back to (X, 1) by [[1, 0], [-mu, 1]].
     """
-    _, sg2, _, g_m4 = g_central_moments(p)
-    _, se2, _, e_m4 = nb_central_moments(p.innovation())
-    c2 = 2.0 * sg2 * sg2
-    c1 = g_m4 + 4.0 * sg2 * se2 - 3.0 * sg2 * sg2
-    c0 = e_m4 - se2 * se2
-    f = [1.0]
-    for k in range(4):
-        f.append(f[-1] * (p.r + k) * p.mu / p.r)
-    ex = (1.0, f[1], f[2] + f[1], f[3] + 3.0 * f[2] + f[1],
-          f[4] + 6.0 * f[3] + 7.0 * f[2] + f[1])
-    return tuple(c2 * ex[m + 2] + c1 * ex[m + 1] + c0 * ex[m] for m in (2, 1, 0))
+    mu, m2, m3, m4 = x_moments
+    # the variance polynomial in z = x - mu: d2 z^2 + d1 z + d0
+    d2, d1, d0 = c2, 2.0 * c2 * mu + c1, (c2 * mu + c1) * mu + c0
+    v_zz = d2 * m4 + d1 * m3 + d0 * m2
+    v_z = d2 * m3 + d1 * m2
+    v_1 = d2 * m2 + d0
+    centred = np.array([[v_zz / (m2 * m2), v_z / m2], [v_z / m2, v_1]])
+    shear = np.array([[1.0, 0.0], [-mu, 1.0]])
+    return shear @ centred @ shear.T
 
 
 def predicted_cov(p: ModelParams) -> CovMatrices:
     """Predicted asymptotic covariances for the regression estimators.
 
-    sigma_means is assembled from (sigma_G^2, sigma_eps^2, sigma^2, m3 of X,
-    c^2 = mu sigma_G^2 + sigma_eps^2); sigma_alpha_mu is J sigma_means J' with
-    J = (1-alpha)^{-1} [[1-alpha, 0], [mu, 1]]; sigma_vars is
-    Phi^{-1} Sigma_1 Phi^{-T} with Phi the (X, 1) second-moment matrix and
-    Sigma_1 the R(X)-weighted version of it.
+    Both least squares stages regress on (X_{t-1}, 1), so both are one
+    sandwich over the NB(r, mu) marginal, at the conditional variance of
+    their response: sigma_G^2 x + sigma_eps^2 for X_t (sigma_means, of
+    (alpha_hat, mu_eps_hat)), and
+    R(x) = 2 sigma_G^4 x^2 + (m4_G + 4 sigma_G^2 sigma_eps^2 - 3 sigma_G^4) x
+           + (m4_eps - sigma_eps^4)
+    for the squared residual U_t^2 (sigma_vars, of (sigma_G^2_hat,
+    sigma_eps^2_hat)).  sigma_alpha_mu, of (alpha_hat, mu_hat), is
+    J sigma_means J' with J = (1-alpha)^{-1} [[1-alpha, 0], [mu, 1]].
     """
-    mu, alpha = p.mu, p.alpha
-    mean_x, s2, m3x, _ = nb_central_moments(p.marginal())
-    _, sg2, _, _ = g_central_moments(p)
-    _, se2, _, _ = nb_central_moments(p.innovation())
-    c2 = mu * sg2 + se2
-    s4 = s2 * s2
-
-    s11 = (sg2 * m3x + c2 * s2) / s4
-    s12 = -(mu * sg2 * m3x + mu * c2 * s2 - sg2 * s4) / s4
-    s22 = (mu * mu * sg2 * m3x + mu * mu * c2 * s2 + se2 * s4 - mu * sg2 * s4) / s4
-    sigma_means = np.array([[s11, s12], [s12, s22]])
-
-    abar = 1.0 - alpha
-    jac = np.array([[1.0, 0.0], [mu / abar, 1.0 / abar]])
-    sigma_alpha_mu = jac @ sigma_means @ jac.T
-
-    ex = mean_x
-    ex2 = s2 + mean_x * mean_x
-    phi = np.array([[ex2, ex], [ex, 1.0]])
-    rx2, rx1, rx0 = _expectations_rx(p)
-    sigma_1 = np.array([[rx2, rx1], [rx1, rx0]])
-    phi_inv = np.linalg.inv(phi)
-    sigma_vars = phi_inv @ sigma_1 @ phi_inv.T
-    return CovMatrices(sigma_means=sigma_means, sigma_alpha_mu=sigma_alpha_mu,
+    x_moments = nb_central_moments(p.marginal())
+    _, sg2, _, g_m4 = g_central_moments(p)
+    _, se2, _, e_m4 = nb_central_moments(p.innovation())
+    sigma_means = _sandwich(x_moments, 0.0, sg2, se2)
+    abar = 1.0 - p.alpha
+    jac = np.array([[1.0, 0.0], [p.mu / abar, 1.0 / abar]])
+    sigma_vars = _sandwich(x_moments, 2.0 * sg2 * sg2,
+                           g_m4 + 4.0 * sg2 * se2 - 3.0 * sg2 * sg2,
+                           e_m4 - se2 * se2)
+    return CovMatrices(sigma_means=sigma_means,
+                       sigma_alpha_mu=jac @ sigma_means @ jac.T,
                        sigma_vars=sigma_vars)
 
 

@@ -90,27 +90,20 @@ def _means_fit(fit: MeanEstimates) -> Fit:
 
 def _fit_cls_var(series: Series, known_alpha: float | None = None,
                  known_mu_eps: float | None = None) -> Fit:
-    if known_alpha is None and known_mu_eps is None:
-        means = cls_means(series)
-        var = cls_variances(series, means)
-        alpha, mu_eps = means.alpha_hat, means.mu_eps_hat
-        estimates, flags, _, _ = _means_fit(means)
-    else:
-        var = cls_variances(series, known_alpha=known_alpha,
-                            known_mu_eps=known_mu_eps)
-        alpha, mu_eps = known_alpha, known_mu_eps
-        estimates, flags = {}, []
+    var = cls_variances(series, known_alpha=known_alpha, known_mu_eps=known_mu_eps)
+    means = var.means
+    # a first stage fitted here is reported with the variances; known means are not
+    estimates, flags = ({}, []) if means.method == "known" else _means_fit(means)[:2]
     estimates.update(sigma_g2_hat=var.sigma_g2_hat,
                      sigma_eps2_hat=var.sigma_eps2_hat,
                      sigma2_hat=var.sigma2_hat,
                      sigma2_hat_formula_a=var.sigma2_hat_formula_a,
                      r_hat=var.r_hat)
-    details = {"residual_mode": var.residual_mode, "alpha_used": alpha,
-               "mu_eps_used": mu_eps, "n": var.n}
+    details = {"residual_mode": var.residual_mode, "alpha_used": means.alpha_hat,
+               "mu_eps_used": means.mu_eps_hat, "n": var.n}
     if not var.r_defined:
         return Fit(estimates, flags + ["r-undefined"], details, None)
-    mu = mu_eps / (1.0 - alpha) if alpha != 1.0 else math.nan
-    return Fit(estimates, flags, details, (alpha, mu, var.r_hat))
+    return Fit(estimates, flags, details, (means.alpha_hat, means.mu_hat, var.r_hat))
 
 
 def _fit_cml(series: Series) -> Fit:
@@ -164,6 +157,15 @@ class EmptyReportError(RuntimeError):
     """Every replicate of a block failed; nothing to aggregate."""
 
 
+def _config_int(name: str, value) -> int:
+    """An integer config entry: an int or an integral float, never a bool or
+    a string, which ``int`` would coerce."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Experiment definition: model, series lengths, replication, seeding."""
@@ -202,10 +204,13 @@ class MCConfig:
                 f"config schema violation: missing {missing}, unexpected {extra}")
         params = ModelParams(alpha=float(doc["alpha"]), mu=float(doc["mu"]),
                              r=float(doc["r"]))
-        return cls(params=params, n_grid=tuple(doc["n_grid"]),
-                   replicates=int(doc["replicates"]),
+        if not isinstance(doc["n_grid"], list):
+            raise ParameterError("n_grid must be a list of integers")
+        return cls(params=params,
+                   n_grid=tuple(_config_int("n_grid entry", n) for n in doc["n_grid"]),
+                   replicates=_config_int("replicates", doc["replicates"]),
                    estimators=tuple(doc["estimators"]),
-                   master_seed=int(doc["master_seed"]),
+                   master_seed=_config_int("master_seed", doc["master_seed"]),
                    output_path=doc.get("output_path"))
 
     def to_dict(self) -> dict:

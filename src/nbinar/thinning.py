@@ -25,7 +25,6 @@ import numpy as np
 from .distributions import (
     NBParams,
     ParameterError,
-    ShiftedGeomParams,
     _binom_nb_mixture,
     _check_count,
     _check_unit_interval,
@@ -137,15 +136,14 @@ def odot_pgf(beta: float, theta: float, s: float) -> float:
 def g_pmf(p: ModelParams, k: int) -> float:
     """pmf of the thinning count G.
 
-    P(G = 0) = 1 - beta and P(G = k) = beta (1 - bt) bt^(k-1) for k >= 1,
-    where bt = (1 - beta) theta.
+    P(G = 0) = 1 - beta and P(G = k) = beta q_tilde bt^(k-1) for k >= 1,
+    where bt = (1 - beta) theta and q_tilde = 1 - bt.
     """
     k = _check_count(k)
     a = star_to_odot(p)
-    bt = (1.0 - a.beta) * a.theta
     if k == 0:
         return 1.0 - a.beta
-    return a.beta * (1.0 - bt) * bt ** (k - 1)
+    return a.beta * p.q_tilde * ((1.0 - a.beta) * a.theta) ** (k - 1)
 
 
 def g_pgf(p: ModelParams, s: float) -> float:
@@ -157,21 +155,23 @@ def g_pgf(p: ModelParams, s: float) -> float:
 def g_central_moments(p: ModelParams) -> tuple[float, float, float, float]:
     """Mean and second/third/fourth central moments of G.
 
-    Computed exactly from the mixture form of the pmf: with probability
-    1 - beta, G = 0; otherwise G is shifted geometric with success
-    probability 1 - (1 - beta) theta, whose raw moments are closed-form.
+    In t = 1 - s the pgf is 1 - alpha t / (1 + kappa t), with
+    kappa = (1 - alpha) mu / r = 1 / q_tilde - 1, so the factorial moments
+    are alpha k! kappa^(k-1).  Collected into central moments, every term
+    but the Bernoulli(alpha) one of m3 is positive:
+        m2 = alpha abar + 2 alpha kappa,
+        m3 = alpha abar (1 - 2 alpha) + 6 alpha kappa (abar + kappa),
+        m4 = alpha abar (1 - 3 alpha abar) + 2 alpha kappa (1 + 6 abar^2)
+             + 12 alpha kappa^2 (1 + 2 abar) + 24 alpha kappa^3,
+    where abar = 1 - alpha.  The mean is alpha.
     """
-    a = star_to_odot(p)
-    geom = ShiftedGeomParams(p=(1.0 - a.beta) * a.theta)
-    k1, k2, k3, k4 = geom.raw_moments()
-    e1 = a.beta * k1
-    e2 = a.beta * k2
-    e3 = a.beta * k3
-    e4 = a.beta * k4
-    m2 = e2 - e1 * e1
-    m3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
-    m4 = e4 - 4.0 * e1 * e3 + 6.0 * e1 * e1 * e2 - 3.0 * e1**4
-    return e1, m2, m3, m4
+    a, abar = p.alpha, 1.0 - p.alpha
+    kappa = abar * p.mu / p.r
+    m2 = a * abar + 2.0 * a * kappa
+    m3 = a * abar * (1.0 - 2.0 * a) + 6.0 * a * kappa * (abar + kappa)
+    m4 = (a * abar * (1.0 - 3.0 * a * abar) + 2.0 * a * kappa * (1.0 + 6.0 * abar * abar)
+          + 12.0 * a * kappa * kappa * (1.0 + 2.0 * abar) + 24.0 * a * kappa**3)
+    return a, m2, m3, m4
 
 
 def h_fold(p: ModelParams, h: int) -> HFoldParams:
@@ -201,14 +201,16 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     """P(h-fold thinning of x equals k).
 
     For k = 0 this is (1 - beta_h)^x; for k >= 1 it is
-    sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, 1 - (1-beta_h) theta),
-    which is 0 for x = 0.
+    sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, q_tilde_h), which
+    is 0 for x = 0.  As in the transition kernel, beta_h and
+    1 - (1-beta_h) theta enter through the bridge identities, as
+    alpha^h q_tilde_h and q_tilde_h.
     """
     x = _check_count(x, "x")
     k = _check_count(k, "k")
     hp = h_fold(p, h)
-    y = 1.0 - (1.0 - hp.beta_h) * hp.theta
-    return float(_binom_nb_mixture([x], [k], hp.beta_h, y, 0.0)[0, 0])
+    q = hp.q_tilde_h
+    return float(_binom_nb_mixture([x], [k], hp.alpha_h * q, q, 0.0)[0, 0])
 
 
 def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:

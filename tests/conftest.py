@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 
 from nbinar import coeff_A, coeff_B, h_fold, selftest
@@ -12,6 +13,10 @@ from nbinar import coeff_A, coeff_B, h_fold, selftest
 PARAM_TRIPLES = [(p.alpha, p.mu, p.r) for p in selftest.PARAM_GRID]
 
 S_GRID = selftest.S_GRID
+
+# the wide domain: alpha near 0 and 1, r from 1e-3 to 1e4, mu up to 1e3
+WIDE_TRIPLES = [(a, mu, r) for a in (0.01, 0.99) for r in (1e-3, 1e4)
+                for mu in (1.0, 1e3)] + [(0.5, 1e3, 1e4), (0.5, 1e3, 1e-3)]
 
 
 def models():
@@ -29,6 +34,34 @@ def check_suite(name, label=None):
     ok, detail = suite_result(name)
     print(f"{label or name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def mp_central_moments(factorial):
+    """(mean, m2, m3, m4) in mpmath from the factorial moments F_1..F_4."""
+    f1, f2, f3, f4 = factorial
+    e1, e2 = f1, f2 + f1
+    e3, e4 = f3 + 3 * f2 + f1, f4 + 6 * f3 + 7 * f2 + f1
+    return (e1, e2 - e1 ** 2, e3 - 3 * e1 * e2 + 2 * e1 ** 3,
+            e4 - 4 * e1 * e3 + 6 * e1 ** 2 * e2 - 3 * e1 ** 4)
+
+
+def mp_g_moments(alpha, mu, r):
+    """Moments of G in mpmath: expanding its pgf 1 - alpha t / (1 + kappa t)
+    in t = 1 - s, kappa = (1 - alpha) mu / r, gives F_k = alpha k! kappa^(k-1)."""
+    kappa = (1 - alpha) * mu / r
+    return mp_central_moments([alpha * mpmath.factorial(k) * kappa ** (k - 1)
+                               for k in range(1, 5)])
+
+
+def mp_nb_moments(r, mu):
+    """Moments of NB(r, mu) in mpmath from F_k = r^(k rising) (mu / r)^k."""
+    return mp_central_moments([mpmath.rf(r, k) * (mu / r) ** k for k in range(1, 5)])
+
+
+def mp_relative_error(got, want) -> float:
+    """Largest relative deviation of floats from mpmath values, entrywise."""
+    got, want = np.ravel(np.asarray(got, dtype=float)), np.ravel(np.asarray(want, dtype=object))
+    return max(float(abs((mpmath.mpf(float(g)) - w) / w)) for g, w in zip(got, want))
 
 
 def tv_to_pmf(values, pmf):

@@ -278,6 +278,13 @@ def test_mc_schema_violation_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"alpha": 0.5}))
     assert main(["mc", "--config", str(cfg_path)]) == 2
+    # a fractional seed is refused, not truncated
+    cfg_path.write_text(json.dumps({
+        "alpha": 0.5, "mu": 2.0, "r": 1.0, "n_grid": [50], "replicates": 2,
+        "estimators": ["cls"], "master_seed": 1.5,
+        "output_path": str(tmp_path / "mc")}))
+    assert main(["mc", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "mc.csv").exists()
 
 
 @pytest.mark.parametrize("name", selftest.SUITES)

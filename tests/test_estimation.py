@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +25,7 @@ from nbinar import (
 )
 from nbinar.estimation import _LOG_UNDERFLOW
 
-from conftest import models
+from conftest import WIDE_TRIPLES, models, mp_g_moments, mp_nb_moments, mp_relative_error
 
 P_HAND = ModelParams(0.5, 2.0, 1.0)
 HAND_SERIES = Series(np.array([1, 2, 1, 2, 1]))
@@ -138,7 +139,8 @@ def test_cls_variances_optimality():
     x = simulate(P_HAND, 600, rng).values.astype(float)
     series = Series(x)
     m = cls_means(series)
-    v = cls_variances(series, m)
+    v = cls_variances(series)
+    assert v.means == m
     best = s_objective(x, m.alpha_hat, m.mu_eps_hat,
                        v.sigma_g2_hat, v.sigma_eps2_hat)
     for dg in (-1e-3, 0.0, 1e-3):
@@ -201,6 +203,21 @@ def test_predicted_cov_hand_matrices():
                     np.array([[84.0, -108.0], [-108.0, 225.0]]), rtol=1e-12)
 
 
+def sigma_means_oracle(p):
+    # the displayed central-moment form for (alpha_hat, mu_eps_hat), with
+    # c2 = mu sigma_G^2 + sigma_eps^2 the mean conditional variance
+    mu = p.mu
+    _, s2, m3x, _ = nb_central_moments(p.marginal())
+    _, sg2, _, _ = g_central_moments(p)
+    _, se2, _, _ = nb_central_moments(p.innovation())
+    c2 = mu * sg2 + se2
+    s4 = s2 * s2
+    s11 = (sg2 * m3x + c2 * s2) / s4
+    s12 = -(mu * sg2 * m3x + mu * c2 * s2 - sg2 * s4) / s4
+    s22 = (mu * mu * sg2 * m3x + mu * mu * c2 * s2 + se2 * s4 - mu * sg2 * s4) / s4
+    return np.array([[s11, s12], [s12, s22]])
+
+
 def sigma_vars_oracle(p):
     # independent route: quadratic-in-state residual variance against the
     # raw moments of the marginal, all in closed form
@@ -223,9 +240,41 @@ def sigma_vars_oracle(p):
 
 
 def test_predicted_cov_vars_matches_moment_oracle():
-    for p in models():
-        assert_allclose(predicted_cov(p).sigma_vars, sigma_vars_oracle(p),
-                        rtol=1e-9)
+    for p in models() + [ModelParams(*t) for t in WIDE_TRIPLES]:
+        cov = predicted_cov(p)
+        assert_allclose(cov.sigma_means, sigma_means_oracle(p), rtol=1e-9)
+        assert_allclose(cov.sigma_vars, sigma_vars_oracle(p), rtol=1e-9)
+
+
+def mp_predicted_cov(alpha, mu, r):
+    # both sandwiches Phi^{-1} Sigma Phi^{-T} in mpmath, over raw moments
+    mx = mp_nb_moments(r, mu)
+    _, sg2, _, g_m4 = mp_g_moments(alpha, mu, r)
+    _, se2, _, e_m4 = mp_nb_moments(r, (1 - alpha) * mu)
+    e1 = mx[0]
+    ex = [1, e1, mx[1] + e1 ** 2, mx[2] + 3 * e1 * mx[1] + e1 ** 3,
+          mx[3] + 4 * e1 * mx[2] + 6 * e1 ** 2 * mx[1] + e1 ** 4]
+    phi_inv = mpmath.matrix([[ex[2], ex[1]], [ex[1], 1]]) ** -1
+    out = []
+    for c2, c1, c0 in ((0, sg2, se2),
+                       (2 * sg2 ** 2, g_m4 + 4 * sg2 * se2 - 3 * sg2 ** 2,
+                        e_m4 - se2 ** 2)):
+        v = [c2 * ex[m + 2] + c1 * ex[m + 1] + c0 * ex[m] for m in range(3)]
+        sandwich = phi_inv * mpmath.matrix([[v[2], v[1]], [v[1], v[0]]]) * phi_inv.T
+        out.append([[sandwich[i, j] for j in range(2)] for i in range(2)])
+    return out
+
+
+@pytest.mark.parametrize("triple", [(0.5, 1e3, 1e4), (0.5, 1e3, 1e-3)])
+def test_predicted_cov_matches_mpmath_at_large_mu(triple):
+    # Measured worst entry: 1.9e-16 relative.  The hand-expanded sigma_means
+    # and the raw-moment sigma_vars were 8.4e-11 and 1.7e-10 off at
+    # (0.5, 1e3, 1e-3), and sigma_vars 2.5e-13 off at (0.5, 1e3, 1e4).
+    cov = predicted_cov(ModelParams(*triple))
+    with mpmath.workdps(50):
+        want_means, want_vars = mp_predicted_cov(*(mpmath.mpf(v) for v in triple))
+        assert mp_relative_error(cov.sigma_means, want_means) < 2e-15
+        assert mp_relative_error(cov.sigma_vars, want_vars) < 2e-15
 
 
 def test_loglik_hand_value_and_additivity():

@@ -61,6 +61,13 @@ def test_config_from_dict_schema():
         MCConfig.from_dict({k: v for k, v in doc.items() if k != "mu"})
     with pytest.raises(ParameterError):
         MCConfig.from_dict({**doc, "unexpected": 1})
+    # integer fields are not coerced: fractions, booleans and strings fail
+    for bad in ({"master_seed": 1.5}, {"replicates": 2.9}, {"n_grid": [10.7]},
+                {"master_seed": True}, {"replicates": "3"}, {"n_grid": ["50"]},
+                {"n_grid": 50}):
+        with pytest.raises(ParameterError):
+            MCConfig.from_dict({**doc, **bad})
+    assert MCConfig.from_dict({**doc, "replicates": 2.0}).replicates == 2
     round_trip = MCConfig.from_dict({**cfg.to_dict()})
     assert round_trip == cfg
 

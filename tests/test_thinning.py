@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,14 @@ from nbinar import (
 )
 from nbinar.thinning import odot_pgf
 
-from conftest import S_GRID, check_suite, models
+from conftest import (
+    S_GRID,
+    WIDE_TRIPLES,
+    check_suite,
+    models,
+    mp_g_moments,
+    mp_relative_error,
+)
 
 
 def g_pmf_closed(beta, theta, k):
@@ -131,6 +139,41 @@ def test_g_central_moments_match_brute_force():
         want = [mean] + [float(np.sum(pmf * (k - mean) ** j)) for j in (2, 3, 4)]
         assert_allclose(g_central_moments(p), want, rtol=1e-10)
         assert_allclose(mean, p.alpha, rtol=1e-12)  # thinning preserves the mean
+
+
+def mp_thin_pmf(alpha, mu, r, x, h, k):
+    # the thinning law in mpmath: Binomial(x, alpha^h q) survivors N, each
+    # adding a NegBinomial(N, q) number of extras, q = q_tilde_h
+    ah = alpha ** h
+    q = r / (r + (1 - ah) * mu)
+    b = ah * q
+    total = mpmath.mpf(0)
+    for n in range(min(x, k) + 1):
+        extras = (1 if k == 0 else 0) if n == 0 else \
+            mpmath.binomial(k - 1, k - n) * q ** n * (1 - q) ** (k - n)
+        total += mpmath.binomial(x, n) * b ** n * (1 - b) ** (x - n) * extras
+    return total
+
+
+@pytest.mark.parametrize("triple", WIDE_TRIPLES)
+def test_g_law_and_thinning_pmf_match_mpmath_on_wide_domain(triple):
+    # Forming q_tilde as 1 - (1 - beta) theta cancels where q_tilde is small
+    # (r << mu): at (0.5, 1e3, 1e-3) that put E[G] and g_pmf 4.2e-11 and the
+    # thinning pmf 1.0e-10 off, and the raw-moment route put Var(G) 8.4e-11
+    # off.  Measured now: moments within 2.4e-16, g_pmf within 1.7e-13
+    # (k = 40 at (0.99, 1e3, 1e4), the power bt^39), thinning pmf within
+    # 1.1e-14.  Thinning probabilities at k >= 2 are left out, because the
+    # kernel's log(1 - q) loses digits where q_tilde_h is near 1.
+    p = ModelParams(*triple)
+    alpha, mu, r = (mpmath.mpf(v) for v in triple)
+    with mpmath.workdps(50):
+        assert mp_relative_error(g_central_moments(p), mp_g_moments(alpha, mu, r)) < 2e-15
+        ks = (0, 1, 2, 5, 40)
+        assert mp_relative_error([g_pmf(p, k) for k in ks],
+                                 [mp_thin_pmf(alpha, mu, r, 1, 1, k) for k in ks]) < 1e-12
+        cases = [(x, h, k) for x in (1, 3) for h in (1, 2) for k in (0, 1)]
+        assert mp_relative_error([thin_conditional_pmf(p, *c) for c in cases],
+                                 [mp_thin_pmf(alpha, mu, r, *c) for c in cases]) < 1e-13
 
 
 def test_g_variance_binomial_limit():
