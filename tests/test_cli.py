@@ -284,6 +284,12 @@ def test_mc_schema_violation_exit_code(tmp_path):
         "estimators": ["cls"], "master_seed": 1.5,
         "output_path": str(tmp_path / "mc")}))
     assert main(["mc", "--config", str(cfg_path)]) == 2
+    # a boolean mean is refused, not read as 1
+    cfg_path.write_text(json.dumps({
+        "alpha": 0.5, "mu": True, "r": 1.0, "n_grid": [50], "replicates": 2,
+        "estimators": ["cls"], "master_seed": 1,
+        "output_path": str(tmp_path / "mc")}))
+    assert main(["mc", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "mc.csv").exists()
 
 

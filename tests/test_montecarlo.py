@@ -68,6 +68,11 @@ def test_config_from_dict_schema():
         with pytest.raises(ParameterError):
             MCConfig.from_dict({**doc, **bad})
     assert MCConfig.from_dict({**doc, "replicates": 2.0}).replicates == 2
+    # nor are the real fields: booleans and strings fail, integers are numbers
+    for bad in ({"mu": True}, {"alpha": "0.5"}, {"r": "1"}, {"r": None}, {"mu": [2.0]}):
+        with pytest.raises(ParameterError):
+            MCConfig.from_dict({**doc, **bad})
+    assert MCConfig.from_dict({**doc, "mu": 2}).params.mu == 2.0
     round_trip = MCConfig.from_dict({**cfg.to_dict()})
     assert round_trip == cfg
 

@@ -1,5 +1,6 @@
 """Tests for simulation, transition laws, pgfs, and series I/O."""
 
+import functools
 import math
 import tracemalloc
 
@@ -32,7 +33,13 @@ from nbinar import (
     transition_table,
     write_series,
 )
-from nbinar.process import MAX_STATE, default_max_state, transition_rows
+from nbinar.process import (
+    MAX_STATE,
+    _invert_row,
+    _use_table,
+    default_max_state,
+    transition_rows,
+)
 from nbinar.thinning import odot_pgf
 
 from conftest import (
@@ -68,6 +75,81 @@ def test_simulate_shape_and_determinism():
     assert np.array_equal(s1.values, s2.values)
     assert not np.array_equal(s1.values, s3.values)
     assert np.all(s1.values >= 0)
+
+
+def test_simulate_sampler_choice():
+    # J = 69 at the hand triple: the table from n = 307 on; the heavy
+    # triple's J = 2557 keeps the loop at any length
+    heavy = ModelParams(0.9, 50.0, 0.5)
+    J = nb_support_bound(P_HAND.marginal(), 1e-12)
+    assert J == 69 and not _use_table(J, 306) and _use_table(J, 307)
+    J_heavy = nb_support_bound(heavy.marginal(), 1e-12)
+    assert J_heavy == 2557 and not _use_table(J_heavy, 10**12)
+    for p, n, want in ((P_HAND, 306, "loop"), (P_HAND, 307, "table"), (heavy, 2000, "loop")):
+        meta = simulate(p, n, np.random.default_rng(1)).meta
+        assert (meta["sampler"], meta["extended_rows"]) == (want, 0)
+
+
+@functools.cache
+def wide_cdf(p, x, j_max=4000):
+    return np.cumsum(transition_rows(p, [x], j_max)[0])
+
+
+def inverse_of_rows(p, x, u):
+    """min{j : sum_{k <= j} P(k | x) > u} from one wide ``transition_rows`` row,
+    or None where the row's rounded total does not pass u."""
+    cdf = wide_cdf(p, x)
+    return int(np.searchsorted(cdf, u, side="right")) if cdf[-1] > u else None
+
+
+def test_invert_row_extends_past_the_table():
+    J = nb_support_bound(P_HAND.marginal(), 1e-12)
+    for x in (3, J, J + 5, 10 * J):
+        for u in (0.3, 1.0 - 1e-12, 1.0 - 2.0**-53):
+            j = _invert_row(P_HAND, x, u, J)
+            want = inverse_of_rows(P_HAND, x, u)
+            if want is not None:
+                assert j == want, (x, u)
+            else:
+                # the end case: the draw is where the rounded total stopped growing
+                cdf = wide_cdf(P_HAND, x)
+                assert cdf[j] == cdf[-1] and cdf[j - 1] < cdf[j], (x, u)
+
+
+class ScriptedRng:
+    """Stands in for a Generator: the marginal draw (a Poisson of a Gamma
+    mean) is ``x0`` and ``random`` returns the scripted uniforms."""
+
+    def __init__(self, x0, uniforms):
+        self.x0, self.uniforms = x0, np.asarray(uniforms, dtype=float)
+
+    def gamma(self, shape, scale, size=None):
+        return 1.0
+
+    def poisson(self, lam):
+        return self.x0
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+def test_simulate_extends_rows_it_cannot_invert():
+    # start beyond the table (x0 > J) and draw uniforms just below 1, so rows
+    # are extended from states above J and from states inside the table
+    J = nb_support_bound(P_HAND.marginal(), 1e-12)
+    n = 400
+    uniforms = np.full(n - 1, 0.5)
+    uniforms[[0, 1, 50, 51]] = [1.0 - 1e-12, 0.2, 1.0 - 1e-13, 1.0 - 1e-12]
+    series = simulate(P_HAND, n, ScriptedRng(J + 5, uniforms))
+    assert series.meta["sampler"] == "table"
+    want, extended = [J + 5], 0
+    for u in uniforms:
+        j = inverse_of_rows(P_HAND, want[-1], u)
+        extended += want[-1] > J or j > J
+        want.append(j)
+    assert series.values.tolist() == want
+    assert series.meta["extended_rows"] == extended >= 3
 
 
 def test_simulate_near_independence_limit():
@@ -116,7 +198,7 @@ def test_transition_rows_match_scalar():
 def branch_margin(p, h=1):
     """2c - b(1 + c): the kernel runs its recurrence forward where this is > 0."""
     hp = h_fold(p, h)
-    b, c = hp.alpha_h * hp.q_tilde_h, 1.0 - hp.q_tilde_h
+    b, c = hp.alpha_h * hp.q_tilde_h, hp.qbar_h
     return 2.0 * c - b * (1.0 + c)
 
 
@@ -239,6 +321,8 @@ def pgf_coefficient_mpmath(p, i, j, h):
     ((0.95, 10.0, 5.0), 1, 12, 20),
     ((0.99, 2.0, 1.0), 1, 5, 9),
     ((0.5, 2.0, 1e4), 1, 3, 5),
+    ((0.99, 1.0, 1e4), 1, 1, 40),
+    ((0.99, 1.0, 1e4), 1, 3, 10),
 ])
 def test_transition_rows_match_mpmath(triple, h, i, j):
     p = ModelParams(*triple)
