@@ -8,6 +8,7 @@ Subcommands: simulate, transition, estimate, mc, selftest.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,6 +42,8 @@ def _add_model_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser.  Each subcommand's ``func`` looks its ``cmd_*`` up when it
+    runs, so a parser built once calls the module's current functions."""
     parser = argparse.ArgumentParser(
         prog="nbinar",
         description="Negative binomial INAR(1) count time series: simulation, "
@@ -52,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True, help="series length")
     sim.add_argument("--seed", type=int, required=True, help="RNG seed")
     sim.add_argument("--out", required=True, help="output series file")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     tr = sub.add_parser("transition",
                         help="print a transition probability or write a table")
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--table", type=int, metavar="J",
                     help="write the full table on states 0..J instead")
     tr.add_argument("--out", help="output CSV path (required with --table)")
-    tr.set_defaults(func=cmd_transition)
+    tr.set_defaults(func=lambda args: cmd_transition(args))
 
     est = sub.add_parser("estimate", help="estimate parameters from a series file")
     est.add_argument("--in", dest="infile", required=True, help="series file")
@@ -73,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--known-mueps", type=float, default=None,
                      help="treat mu_eps as known (cls-var only)")
     est.add_argument("--out", help="write the JSON report here instead of stdout")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=lambda args: cmd_estimate(args))
 
     mc = sub.add_parser("mc", help="run a Monte Carlo experiment from a config")
     mc.add_argument("--config", required=True, help="JSON config file")
-    mc.set_defaults(func=cmd_mc)
+    mc.set_defaults(func=lambda args: cmd_mc(args))
 
     st = sub.add_parser("selftest", help="run the invariant suites")
     st.add_argument("--mutate", action="store_true",
                     help="corrupt a constant to verify the suite can fail")
-    st.set_defaults(func=cmd_selftest)
+    st.set_defaults(func=lambda args: cmd_selftest(args))
     return parser
 
 
@@ -181,9 +184,11 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest(mutate=args.mutate) else 1
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DegenerateSeriesError, EmptyReportError) as exc:

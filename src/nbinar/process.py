@@ -92,13 +92,13 @@ class TransitionTable:
         self.tail_mass = np.maximum(0.0, 1.0 - self.probs.sum(axis=1))
 
     def to_csv(self, path) -> None:
-        """Write the table with a header row of destination states."""
+        """Write the table with a header row of destination states, row by row.
+        Cells are the shortest repr that reads back as the same float, lines
+        end in "\r\n" and no field needs quoting, as ``csv.writer`` has it."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["from_state", *range(self.max_state + 1), "tail_mass"])
-            for i in range(self.max_state + 1):
-                writer.writerow([i, *(repr(float(v)) for v in self.probs[i]),
-                                 repr(float(self.tail_mass[i]))])
+            fh.write(f"from_state,{','.join(map(str, range(self.max_state + 1)))},tail_mass\r\n")
+            for i, (row, tail) in enumerate(zip(self.probs, self.tail_mass.tolist())):
+                fh.write(f"{i},{','.join(map(repr, row.tolist()))},{tail!r}\r\n")
 
 
 def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
@@ -294,7 +294,7 @@ def ma_sample(p: ModelParams, J: int, rng: np.random.Generator, size=None):
 def write_series(path, series: Series) -> None:
     """Write one integer per line."""
     with open(path, "w") as fh:
-        fh.write("\n".join(str(int(v)) for v in series.values))
+        fh.write("\n".join(map(str, series.values.tolist())))
         fh.write("\n")
 
 

@@ -182,24 +182,18 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
 
     beta_h = beta^h (1-theta) / ((1 - (1-beta) theta)^h - beta^h theta); since
     beta = alpha q_tilde and 1 - (1-beta) theta = q_tilde, the quotient
-    collapses to alpha^h (1-theta) / (1 - theta alpha^h), evaluated with
-    log1p for the subtraction.  Far into the tail (h log alpha < -30) the
-    bridge identity beta_h = alpha^h q_tilde_h is used directly.
+    collapses to alpha^h (1-theta) / (1 - theta alpha^h) = alpha^h q_tilde_h,
+    the bridge identity.  beta_h is formed as that product, which keeps its
+    digits where theta is near 1 (r << mu).
     """
     hh = _check_count(h, "h")
     if hh < 1:
         raise ParameterError(f"h must be a positive integer, got {h!r}")
-    theta = p.theta
     alpha_h = p.alpha**hh
     abar_mu = (1.0 - alpha_h) * p.mu
     q_h = p.r / (p.r + abar_mu)
-    log_alpha_h = hh * math.log(p.alpha)
-    if log_alpha_h < -30.0:
-        beta_h = alpha_h * q_h
-    else:
-        beta_h = math.exp(log_alpha_h + math.log1p(-theta) - math.log1p(-theta * alpha_h))
-    return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=beta_h, theta=theta,
-                       qbar_h=abar_mu / (p.r + abar_mu))
+    return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=alpha_h * q_h,
+                       theta=p.theta, qbar_h=abar_mu / (p.r + abar_mu))
 
 
 def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:

@@ -6,7 +6,8 @@ import math
 import mpmath
 import numpy as np
 
-from nbinar import coeff_A, coeff_B, h_fold, selftest
+from nbinar import coeff_A, h_fold, selftest
+from nbinar.distributions import log_gamma
 
 # (alpha, mu, r) triples exercised throughout; the middle one has
 # hand-checkable values (q_tilde = 0.5, beta = 0.25, theta = 2/3)
@@ -74,12 +75,22 @@ def tv_to_pmf(values, pmf):
     return selftest.tv_to_pmf(values, np.array([pmf(k) for k in range(int(values.max()) + 1)]))
 
 
-def thinned_oracle(x, k, b, y):
+def coeff_B_split(n, l, y, ybar):
+    """coeff_B(n, l, y) with 1 - y passed in as ybar.  Where y is near 1, a
+    1 - y formed from y keeps only eps / (1 - y) relative accuracy: at
+    1 - y = 2.5e-8 that is 3e-9, above the 1e-9 the oracle comparisons need."""
+    return math.exp(float(log_gamma(n) - log_gamma(l) - log_gamma(n - l + 1.0))
+                    + l * math.log(y) + (n - l) * math.log(ybar))
+
+
+def thinned_oracle(x, k, b, y, ybar):
     """P(b-thinning of x equals k) as the positive coeff_A * coeff_B sum:
-    (1 - b)^x for k = 0, else sum_{l=1..min(k,x)} coeff_A(x, l, b) coeff_B(k, l, y)."""
+    (1 - b)^x for k = 0, else sum_{l=1..min(k,x)} coeff_A(x, l, b) coeff_B(k, l, y),
+    with 1 - y given as ybar."""
     if k == 0:
         return (1.0 - b) ** x
-    return sum(coeff_A(x, l, b) * coeff_B(k, l, y) for l in range(1, min(k, x) + 1))
+    return sum(coeff_A(x, l, b) * coeff_B_split(k, l, y, ybar)
+               for l in range(1, min(k, x) + 1))
 
 
 def geometric_transition_reference(alpha, mu, h, i, j):
@@ -107,7 +118,8 @@ def geometric_transition_reference(alpha, mu, h, i, j):
 def thin_pmf_oracle(p, x, h, k):
     """P(h-fold thinning of x equals k), with y = 1 - (1 - beta_h) theta."""
     hp = h_fold(p, h)
-    return thinned_oracle(x, k, hp.beta_h, 1.0 - (1.0 - hp.beta_h) * hp.theta)
+    ybar = (1.0 - hp.beta_h) * hp.theta
+    return thinned_oracle(x, k, hp.beta_h, 1.0 - ybar, ybar)
 
 
 def transition_row_oracle(p, i, j_max, h=1):
@@ -118,11 +130,11 @@ def transition_row_oracle(p, i, j_max, h=1):
           sum_{l=1..min(i,k)} coeff_A(i, l, b) coeff_B(k, l, q)
 
     with q = q_tilde_h and b = alpha^h q: the thinned start state convolved
-    with the h-step innovation pmf.
+    with the h-step innovation pmf.  1 - q enters as ``qbar_h``.
     """
     hp = h_fold(p, h)
-    q = hp.q_tilde_h
+    q, qbar = hp.q_tilde_h, hp.qbar_h
     b = hp.alpha_h * q
-    thin = [thinned_oracle(i, k, b, q) for k in range(j_max + 1)]
-    innov = [coeff_B(m + p.r, p.r, q) for m in range(j_max + 1)]
+    thin = [thinned_oracle(i, k, b, q, qbar) for k in range(j_max + 1)]
+    innov = [coeff_B_split(m + p.r, p.r, q, qbar) for m in range(j_max + 1)]
     return np.convolve(thin, innov)[: j_max + 1]

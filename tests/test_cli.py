@@ -19,6 +19,7 @@ from nbinar import (
     transition_table,
     write_series,
 )
+from nbinar import cli
 from nbinar.cli import main
 from nbinar.montecarlo import CSV_COLUMNS, ESTIMATORS, _fit_row
 
@@ -236,6 +237,31 @@ def test_estimate_known_mueps_alone_is_rejected(tmp_path):
     argv = ["estimate", "--in", str(series_path), "--method", "cls-var"]
     assert main([*argv, "--known-mueps", "1.0"]) == 2
     assert main([*argv, "--known-alpha", "0.5"]) == 2
+
+
+def test_parser_built_once_runs_each_command_as_if_alone(tmp_path, capsys, monkeypatch):
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, simulate(P_HAND, 400, np.random.default_rng(4)))
+    estimate = ["estimate", "--in", str(series_path), "--method", "cls-var"]
+    sequence = [[*estimate, "--known-alpha", "0.5", "--known-mueps", "1.0"],
+                estimate,
+                ["transition", "--alpha", "1.5", "--mu", "2", "--r", "1",
+                 "--i", "0", "--j", "0"],
+                ["transition", *BASE, "--i", "1", "--j", "1"]]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+    in_sequence = [run(capsys, argv) for argv in sequence]
+    assert [code for code, _ in in_sequence] == [0, 0, 2, 0]
+    assert json.loads(in_sequence[0][1])["residual_mode"] == "known-means"
+    assert json.loads(in_sequence[1][1])["residual_mode"] == "estimated-means"
+    assert in_sequence[3][1].strip() == "0.25"
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert [run(capsys, argv) for argv in sequence] == in_sequence
+
+
+def test_cached_parser_calls_the_current_command_function(monkeypatch):
+    cli._parser()  # built before the name is rebound
+    monkeypatch.setattr(cli, "cmd_selftest", lambda args: 7)
+    assert main(["selftest"]) == 7
 
 
 def test_estimate_constant_series_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for simulation, transition laws, pgfs, and series I/O."""
 
+import csv
 import functools
 import math
 import tracemalloc
@@ -35,6 +36,7 @@ from nbinar import (
 )
 from nbinar.process import (
     MAX_STATE,
+    TransitionTable,
     _invert_row,
     _use_table,
     default_max_state,
@@ -231,6 +233,7 @@ def wide_cases(draw):
 @example(case=(ModelParams(0.9, 50.0, 0.5), 1, [0, 7, 30], 30))  # forward
 @example(case=(ModelParams(0.95, 10.0, 5.0), 1, [0, 7, 30], 30))  # mixture
 @example(case=(ModelParams(0.5, 1.0, boundary_r(0.5, 1.0)), 1, [0, 7, 30], 30))  # boundary
+@example(case=(ModelParams(0.75, 1e-3, 1e4), 1, [0], 1))  # 1 - q_tilde = 2.5e-8
 def test_transition_rows_match_oracle_wide_domain(case):
     p, h, rows, j_max = case
     event("forward recurrence" if branch_margin(p, h) > 0.0 else "positive mixture")
@@ -468,6 +471,57 @@ def test_series_io_round_trip(tmp_path):
     assert path.read_text().splitlines() == ["3", "0", "1", "7"]
     back = read_series(path)
     assert np.array_equal(back.values, s.values)
+
+
+def csv_writer_table(table, path):
+    # the table format as csv.writer wrote it, cell by cell: the reference
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["from_state", *range(table.max_state + 1), "tail_mass"])
+        for i in range(table.max_state + 1):
+            writer.writerow([i, *(repr(float(v)) for v in table.probs[i]),
+                             repr(float(table.tail_mass[i]))])
+
+
+def assert_table_bytes_and_round_trip(table, tmp_path):
+    table.to_csv(tmp_path / "table.csv")
+    csv_writer_table(table, tmp_path / "reference.csv")
+    got = (tmp_path / "table.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\r\n") == table.max_state + 2
+    with open(tmp_path / "table.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["from_state", *map(str, range(table.max_state + 1)), "tail_mass"]
+    assert [int(row[0]) for row in rows] == list(range(table.max_state + 1))
+    body = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.array_equal(body[:, :-1], table.probs)
+    assert np.array_equal(body[:, -1], table.tail_mass)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_table_csv_bytes_match_csv_writer_hand_triple(tmp_path, h):
+    assert_table_bytes_and_round_trip(transition_table(P_HAND, 200, h), tmp_path)
+
+
+def test_table_csv_bytes_match_csv_writer_where_tail_mass_clips(tmp_path):
+    table = transition_table(ModelParams(0.99, 1.0, 1e4), 60, 2)
+    assert table.probs.sum(axis=1).max() > 1.0 and (table.tail_mass == 0.0).any()
+    assert_table_bytes_and_round_trip(table, tmp_path)
+
+
+def test_table_csv_bytes_match_csv_writer_on_extreme_floats(tmp_path):
+    probs = [[0.0, 5e-324, 1e-300], [1e16, 1.0 - 2.0**-53, 0.0], [0.25, 1e-300, 0.5]]
+    table = TransitionTable(h=1, max_state=2, probs=probs)
+    assert_table_bytes_and_round_trip(table, tmp_path)
+
+
+@pytest.mark.parametrize("values", [[0], [7], [0, 3, 2**62, 10**12, 0, 1]])
+def test_series_file_bytes_match_per_value_str(tmp_path, values):
+    s = Series(np.array(values, dtype=np.int64))
+    write_series(tmp_path / "series.txt", s)
+    want = ("\n".join(str(int(v)) for v in s.values) + "\n").encode()
+    assert (tmp_path / "series.txt").read_bytes() == want
+    assert np.array_equal(read_series(tmp_path / "series.txt").values, s.values)
 
 
 def test_read_series_csv_column(tmp_path):

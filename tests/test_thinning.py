@@ -214,7 +214,8 @@ def test_h_fold_beta_decreases_to_zero():
 
 
 def test_h_fold_deep_h_fallback_continuity():
-    # the log1p route and the product fallback agree where both are usable
+    # deep into the tail (h log alpha near -30) the bridge product alpha^h q_h
+    # still agrees with the log1p form of the quotient
     p = ModelParams(0.5, 2.0, 1.0)
     for h in (40, 43, 44, 50):
         hp = h_fold(p, h)
@@ -224,6 +225,20 @@ def test_h_fold_deep_h_fallback_continuity():
                           - math.log1p(-p.theta * alpha_h))
         assert_allclose(hp.beta_h, alpha_h * q_h, rtol=1e-12)
         assert_allclose(hp.beta_h, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("mu", [1.0, 1e3])
+@pytest.mark.parametrize("r", [1e-3, 1.0, 1e4])
+def test_h_fold_beta_h_matches_mpmath(alpha, mu, r):
+    # beta_h = alpha^h (1 - theta) / (1 - theta alpha^h) at 50 digits; where
+    # theta is near 1 (r << mu) a log1p(-theta) form is 6e-11 relative off
+    p = ModelParams(alpha, mu, r)
+    with mpmath.workdps(50):
+        a, theta = mpmath.mpf(alpha), mpmath.mpf(mu) / (mpmath.mpf(mu) + mpmath.mpf(r))
+        for h in (1, 2, 5):
+            want = a**h * (1 - theta) / (1 - theta * a**h)
+            assert mp_relative_error(h_fold(p, h).beta_h, want) <= 1e-14, h
 
 
 def test_thin_conditional_pmf_hand_values():
