@@ -111,36 +111,26 @@ class ShiftedGeomParams:
         return m1, m2, m3, m4
 
 
+def _nb_log_pmf(params: NBParams, k):
+    """log P(X = k) at a count or an array of counts, with log q = -log1p(mu/r)
+    and log(1 - q) = log theta = -log1p(r/mu): no 1 - theta is formed, so both
+    keep their digits at either end of (0, 1)."""
+    r, mu = params.r, params.mu
+    return (log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r)
+            - r * math.log1p(mu / r) - k * math.log1p(r / mu))
+
+
 def nb_pmf(params: NBParams, k: int) -> float:
     """P(X = k) for X ~ NB(r, mu), evaluated in log space.
 
     Equals ``coeff_B(k + r, r, 1 - theta)``.
     """
-    k = _check_count(k)
-    r = params.r
-    theta = params.theta
-    logp = (
-        float(log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r))
-        + r * math.log1p(-theta)
-        + (k * math.log(theta) if k else 0.0)
-    )
-    return math.exp(logp)
+    return math.exp(_nb_log_pmf(params, _check_count(k)))
 
 
 def nb_pmf_vector(params: NBParams, kmax: int) -> np.ndarray:
     """pmf values for k = 0..kmax as an array."""
-    kmax = _check_count(kmax, "kmax")
-    r = params.r
-    theta = params.theta
-    k = np.arange(kmax + 1)
-    logp = (
-        log_gamma(k + r)
-        - log_gamma(k + 1.0)
-        - log_gamma(r)
-        + r * math.log1p(-theta)
-        + k * math.log(theta)
-    )
-    return np.exp(logp)
+    return np.exp(_nb_log_pmf(params, np.arange(_check_count(kmax, "kmax") + 1)))
 
 
 def nb_pgf(params: NBParams, s: float) -> float:
@@ -251,10 +241,11 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.
     with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n c^k, c = 1 - q given
     apart so it keeps its digits where q is near 1, and NB(.; 0, q) the point
     mass at 0: a b-thinning of i plus an independent NB(r, q) count.
-    Every term is positive, so one matrix product is accurate everywhere."""
+    Every term is positive, so one matrix product is accurate everywhere.
+    N runs over 0..min(max row, max col): the terms past either are 0."""
     i = np.asarray(rows, dtype=float)[:, None]
     j = np.asarray(cols, dtype=float)[None, :]
-    n = np.arange(i.max() + 1.0)
+    n = np.arange(min(i.max(), j.max()) + 1.0)
     nn = n[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_m = log_gamma(i + 1.0) - log_gamma(n + 1.0) - log_gamma(i - n + 1.0) \

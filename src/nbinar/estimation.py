@@ -257,20 +257,19 @@ def predicted_cov(p: ModelParams) -> CovMatrices:
 
 
 def _pair_counts(x: np.ndarray):
+    """The distinct origins ``rows`` and, for each distinct pair (i, j), the
+    position of i in ``rows``, j and the pair's count; then max j."""
     prev = x[:-1]
     curr = x[1:]
     jmax = int(curr.max())
     code = prev * (jmax + 1) + curr
     uniq, counts = np.unique(code, return_counts=True)
-    i_idx = uniq // (jmax + 1)
-    j_idx = uniq % (jmax + 1)
-    return i_idx, j_idx, counts, jmax
+    rows, pos = np.unique(uniq // (jmax + 1), return_inverse=True)
+    return rows, pos, uniq % (jmax + 1), counts, jmax
 
 
-def _loglik_counts(p: ModelParams, i_idx, j_idx, counts, jmax) -> tuple[float, int]:
-    rows = np.unique(i_idx)
-    table = transition_rows(p, rows, jmax, 1)
-    pv = table[np.searchsorted(rows, i_idx), j_idx]
+def _loglik_counts(p: ModelParams, rows, pos, j_idx, counts, jmax) -> tuple[float, int]:
+    pv = transition_rows(p, rows, jmax, 1)[pos, j_idx]
     under = pv <= 0.0
     logs = np.where(under, _LOG_UNDERFLOW, np.log(np.where(under, 1.0, pv)))
     return float(counts @ logs), int(counts[under].sum())

@@ -179,14 +179,14 @@ def _invert_row(p: ModelParams, x: int, u: float, J: int) -> int:
 def transition_prob(p: ModelParams, i: int, j: int, h: int = 1) -> float:
     """h-step transition probability P(X_{t+h} = j | X_t = i).
 
-    With q = q_tilde_h and b = alpha^h q this is the positive sum over the
-    N survivors of the thinning, sum_N coeff_A(i, N, b) NB(j - N; N + r, q).
+    With (b, q) = (beta_h, q_tilde_h) of ``h_fold`` this is the positive sum
+    over the N <= min(i, j) survivors of the thinning,
+    sum_N coeff_A(i, N, b) NB(j - N; N + r, q), in O(min(i, j)).
     """
     i = _check_count(i, "i")
     j = _check_count(j, "j")
     hp = h_fold(p, h)
-    q = hp.q_tilde_h
-    return float(_binom_nb_mixture([i], [j], hp.alpha_h * q, q, hp.qbar_h, p.r)[0, 0])
+    return float(_binom_nb_mixture([i], [j], hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)[0, 0])
 
 
 def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
@@ -200,8 +200,7 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     if rows.ndim != 1 or rows.size == 0 or (rows < 0).any():
         raise ParameterError("rows must be a non-empty vector of states")
     hp = h_fold(p, h)
-    q = hp.q_tilde_h
-    return _binom_nb_rows(rows, j_max, hp.alpha_h * q, q, hp.qbar_h, p.r)
+    return _binom_nb_rows(rows, j_max, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
 
 def default_max_state(p: ModelParams) -> int:
@@ -243,7 +242,7 @@ def conditional_pgf(p: ModelParams, x: int, h: int, s: float) -> float:
     hp = h_fold(p, h)
     q = hp.q_tilde_h
     denom = 1.0 - (1.0 - q) * s
-    return (1.0 - hp.alpha_h * q * (1.0 - s) / denom) ** x * (q / denom) ** p.r
+    return (1.0 - hp.beta_h * (1.0 - s) / denom) ** x * (q / denom) ** p.r
 
 
 def joint_pgf(p: ModelParams, s1: float, s2: float) -> float:
@@ -310,7 +309,7 @@ def read_series(path) -> Series:
     """Read a series file: one integer per line, or CSV with a column ``x``."""
     with open(path, newline="") as fh:
         text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError(f"series file {path} is empty")
     if "," in lines[0] or not _is_plain_int(lines[0]):
@@ -319,5 +318,5 @@ def read_series(path) -> Series:
             raise ValueError(f"CSV series file {path} must have a column named 'x'")
         values = [int(row["x"]) for row in reader]
     else:
-        values = [int(ln) for ln in lines]
+        values = list(map(int, lines))
     return Series(np.asarray(values, dtype=np.int64))

@@ -201,15 +201,13 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
 
     For k = 0 this is (1 - beta_h)^x; for k >= 1 it is
     sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, q_tilde_h), which
-    is 0 for x = 0.  As in the transition kernel, beta_h and
-    1 - (1-beta_h) theta enter through the bridge identities, as
-    alpha^h q_tilde_h and q_tilde_h.
+    is 0 for x = 0: the transition kernel at r = 0, fed the same
+    (beta_h, q_tilde_h, qbar_h) of ``h_fold``.
     """
     x = _check_count(x, "x")
     k = _check_count(k, "k")
     hp = h_fold(p, h)
-    q = hp.q_tilde_h
-    return float(_binom_nb_mixture([x], [k], hp.alpha_h * q, q, hp.qbar_h, 0.0)[0, 0])
+    return float(_binom_nb_mixture([x], [k], hp.beta_h, hp.q_tilde_h, hp.qbar_h, 0.0)[0, 0])
 
 
 def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:

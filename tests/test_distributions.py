@@ -70,6 +70,26 @@ def test_nb_pmf_vector_consistent_and_normalized():
         assert abs(vec.sum() - 1.0) <= 1e-12
 
 
+def nb_pmf_mpmath(params, k):
+    """P(X = k) at 50 digits, with q = r / (r + mu) and 1 - q = mu / (r + mu)."""
+    with mpmath.workdps(50):
+        r, mu = mpmath.mpf(params.r), mpmath.mpf(params.mu)
+        return float(mpmath.binomial(k + r - 1, k) * (r / (r + mu)) ** r * (mu / (r + mu)) ** k)
+
+
+def test_nb_pmf_matches_mpmath_where_theta_nears_one():
+    # theta = mu / (mu + r) comes within 1e-11 of 1 here; log(1 - theta)
+    # formed as log1p(-theta) was 4.5e-9 relative off at (r, mu) = (10, 1e8)
+    for r in (1e-3, 0.5, 1.0, 10.0):
+        for mu in (1.0, 1e3, 1e6, 1e8):
+            params = NBParams(r, mu)
+            vec = nb_pmf_vector(params, 40)
+            for k in (0, 1, 5, 40):
+                want = nb_pmf_mpmath(params, k)
+                assert_allclose(nb_pmf(params, k), want, rtol=1e-13)
+                assert_allclose(vec[k], want, rtol=1e-13)
+
+
 # (r, mu) across the wide domain: pmf(0) underflows at the first two, the
 # pmf ratio past the mode exceeds theta at the third, and the fourth has a
 # bound in the tens of millions

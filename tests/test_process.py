@@ -301,6 +301,17 @@ def test_transition_rows_peak_memory():
     assert peak <= 4 * (rows.size * n + n * (j_max + 1)) * 8
 
 
+def test_scalar_cell_memory_is_bounded_by_the_smaller_state():
+    # a cell sums over the N <= min(i, j) survivors of the thinning, so i = 10^6
+    # builds no array over 0..i (one would take 49 MB)
+    assert peak_bytes(lambda: transition_prob(P_HAND, 10**6, 3)) < 1e6
+    assert peak_bytes(lambda: thin_conditional_pmf(P_HAND, 10**6, 1, 3)) < 1e6
+    # those cells underflow to 0; at i >> j one that does not matches the row kernel
+    want = transition_rows(P_HAND, [200], 5)[0, 5]
+    assert want > 0.0
+    assert_allclose(transition_prob(P_HAND, 200, 5), want, rtol=1e-12)
+
+
 def pgf_coefficient_mpmath(p, i, j, h):
     """[s^j] of q^r u(s)^i v(s)^-(i+r) at 50 digits: the Cauchy product of the
     binomial series of u^i and the negative binomial series of v^-(i+r)."""
