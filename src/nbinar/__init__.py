@@ -13,9 +13,6 @@ Carlo harness, all behind a small CLI.
 from .distributions import (
     NBParams,
     ParameterError,
-    ShiftedGeomParams,
-    coeff_A,
-    coeff_B,
     log_gamma,
     nb_central_moments,
     nb_pgf,

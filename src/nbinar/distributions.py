@@ -1,14 +1,13 @@
-"""Negative binomial and shifted geometric primitives.
+"""Negative binomial primitives.
 
 The negative binomial NB(r, mu) is parameterized by shape r > 0 and mean
 mu > 0, with theta = mu / (mu + r) in (0, 1), pmf
 
     P(X = k) = Gamma(k + r) / (k! Gamma(r)) * (1 - theta)^r theta^k,
 
-and variance mu * (mu / r + 1).  The combinatorial kernels ``coeff_A`` and
-``coeff_B`` are the building blocks of every conditional law in this package;
-``coeff_B`` accepts real-valued indices because the transition formulas use it
-with a non-integer index r.
+and variance mu * (mu / r + 1).  The transition law of the process, a
+binomial thinning plus an independent negative binomial count, is evaluated
+here as a positive mixture and by the recurrence of its pgf.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "TAIL_TOL",
     "ParameterError",
     "NBParams",
-    "ShiftedGeomParams",
     "log_gamma",
     "nb_pmf",
     "nb_pmf_vector",
@@ -31,8 +29,6 @@ __all__ = [
     "nb_sample",
     "nb_central_moments",
     "nb_support_bound",
-    "coeff_A",
-    "coeff_B",
 ]
 
 # Geometric tail domination: NB(r, mu) tail sums are truncated at the
@@ -80,37 +76,6 @@ class NBParams:
         return self.mu / (self.mu + self.r)
 
 
-@dataclass(frozen=True)
-class ShiftedGeomParams:
-    """Geometric on {1, 2, ...} with pmf (1 - p) p^(k-1)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise ParameterError(f"p must lie in (0, 1), got {self.p}")
-
-    def pmf(self, k: int) -> float:
-        k = _check_count(k)
-        if k < 1:
-            return 0.0
-        return (1.0 - self.p) * self.p ** (k - 1)
-
-    def pgf(self, s: float) -> float:
-        s = _check_unit_interval(s)
-        return (1.0 - self.p) * s / (1.0 - self.p * s)
-
-    def raw_moments(self) -> tuple[float, float, float, float]:
-        """First four raw moments E[K^m], m = 1..4, in closed form."""
-        p = self.p
-        pbar = 1.0 - p
-        m1 = 1.0 / pbar
-        m2 = (1.0 + p) / pbar**2
-        m3 = (1.0 + 4.0 * p + p * p) / pbar**3
-        m4 = (1.0 + 11.0 * p + 11.0 * p * p + p**3) / pbar**4
-        return m1, m2, m3, m4
-
-
 def _nb_log_pmf(params: NBParams, k):
     """log P(X = k) at a count or an array of counts, with log q = -log1p(mu/r)
     and log(1 - q) = log theta = -log1p(r/mu): no 1 - theta is formed, so both
@@ -121,10 +86,7 @@ def _nb_log_pmf(params: NBParams, k):
 
 
 def nb_pmf(params: NBParams, k: int) -> float:
-    """P(X = k) for X ~ NB(r, mu), evaluated in log space.
-
-    Equals ``coeff_B(k + r, r, 1 - theta)``.
-    """
+    """P(X = k) for X ~ NB(r, mu), evaluated in log space."""
     return math.exp(_nb_log_pmf(params, _check_count(k)))
 
 
@@ -194,46 +156,6 @@ def nb_support_bound(params: NBParams, tol: float = TAIL_TOL) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if below(mid) else (mid, hi)
     return hi
-
-
-def coeff_A(n: int, i: int, y: float) -> float:
-    """Binomial kernel C(n, i) y^i (1 - y)^(n - i), log-space internally."""
-    n = _check_count(n, "n")
-    if int(i) != i or i < 0 or i > n:
-        raise ParameterError(f"i must lie in 0..{n}, got {i!r}")
-    i = int(i)
-    y = float(y)
-    if not 0.0 < y < 1.0:
-        raise ParameterError(f"y must lie in (0, 1), got {y}")
-    logv = (
-        float(log_gamma(n + 1.0) - log_gamma(i + 1.0) - log_gamma(n - i + 1.0))
-        + (i * math.log(y) if i else 0.0)
-        + ((n - i) * math.log1p(-y) if n - i else 0.0)
-    )
-    return math.exp(logv)
-
-
-def coeff_B(n: float, l: float, y: float) -> float:
-    """Kernel Gamma(n) / (Gamma(l) Gamma(n - l + 1)) * y^l (1 - y)^(n - l).
-
-    Indices are real-valued with n >= l > 0; for integer n, l this is
-    C(n-1, l-1) y^l (1-y)^(n-l).
-    """
-    n = float(n)
-    l = float(l)
-    if not (math.isfinite(l) and l > 0.0):
-        raise ParameterError(f"l must be positive, got {l}")
-    if not (math.isfinite(n) and n >= l):
-        raise ParameterError(f"n must satisfy n >= l, got n={n}, l={l}")
-    y = float(y)
-    if not 0.0 < y < 1.0:
-        raise ParameterError(f"y must lie in (0, 1), got {y}")
-    logv = (
-        float(log_gamma(n) - log_gamma(l) - log_gamma(n - l + 1.0))
-        + l * math.log(y)
-        + (n - l) * math.log1p(-y)
-    )
-    return math.exp(logv)
 
 
 def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -158,10 +159,11 @@ class EmptyReportError(RuntimeError):
 
 
 def _config_int(name: str, value) -> int:
-    """An integer config entry: an int or an integral float, never a bool or
-    a string, which ``int`` would coerce."""
+    """An integer config entry: an integer (numpy's too) or an integral float,
+    never a bool or a string, which ``int`` would coerce."""
     if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -186,16 +188,24 @@ class MCConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid",
+                           tuple(_config_int("n_grid entry", n) for n in self.n_grid))
+        object.__setattr__(self, "replicates", _config_int("replicates", self.replicates))
+        object.__setattr__(self, "master_seed", _config_int("master_seed", self.master_seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replicates < 2:
             raise ParameterError(f"replicates must be >= 2, got {self.replicates}")
         if not self.n_grid or any(n < 10 for n in self.n_grid):
             raise ParameterError("every n_grid entry must be >= 10")
+        # a repeated n or estimator would count each of its series twice in one block
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise ParameterError(f"n_grid entries must be distinct, got {list(self.n_grid)}")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown or not self.estimators:
             raise ParameterError(f"estimators must be a non-empty subset of {ESTIMATORS}")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ParameterError(f"estimators must be distinct, got {list(self.estimators)}")
+        if self.master_seed < 0:
             raise ParameterError("master_seed must be a non-negative integer")
 
     @classmethod
@@ -213,11 +223,8 @@ class MCConfig:
         params = ModelParams(**{k: _config_float(k, doc[k]) for k in ("alpha", "mu", "r")})
         if not isinstance(doc["n_grid"], list):
             raise ParameterError("n_grid must be a list of integers")
-        return cls(params=params,
-                   n_grid=tuple(_config_int("n_grid entry", n) for n in doc["n_grid"]),
-                   replicates=_config_int("replicates", doc["replicates"]),
-                   estimators=tuple(doc["estimators"]),
-                   master_seed=_config_int("master_seed", doc["master_seed"]),
+        return cls(params=params, n_grid=doc["n_grid"], replicates=doc["replicates"],
+                   estimators=doc["estimators"], master_seed=doc["master_seed"],
                    output_path=doc.get("output_path"))
 
     def to_dict(self) -> dict:

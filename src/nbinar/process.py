@@ -181,7 +181,7 @@ def transition_prob(p: ModelParams, i: int, j: int, h: int = 1) -> float:
 
     With (b, q) = (beta_h, q_tilde_h) of ``h_fold`` this is the positive sum
     over the N <= min(i, j) survivors of the thinning,
-    sum_N coeff_A(i, N, b) NB(j - N; N + r, q), in O(min(i, j)).
+    sum_N Binom(N; i, b) NB(j - N; N + r, q), in O(min(i, j)).
     """
     i = _check_count(i, "i")
     j = _check_count(j, "j")

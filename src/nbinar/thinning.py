@@ -199,9 +199,10 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
 def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     """P(h-fold thinning of x equals k).
 
-    For k = 0 this is (1 - beta_h)^x; for k >= 1 it is
-    sum_{i=1..min(k,x)} coeff_A(x, i, beta_h) coeff_B(k, i, q_tilde_h), which
-    is 0 for x = 0: the transition kernel at r = 0, fed the same
+    Of the x counts, N ~ Binom(x, beta_h) are nonzero, and their total
+    exceeds N by an NB(N, q_tilde_h) count, so for k >= 1 this is
+    sum_{N=1..min(k,x)} Binom(N; x, beta_h) NB(k - N; N, q_tilde_h), and
+    (1 - beta_h)^x at k = 0: the transition kernel at r = 0, fed the same
     (beta_h, q_tilde_h, qbar_h) of ``h_fold``.
     """
     x = _check_count(x, "x")

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 
-from nbinar import coeff_A, h_fold, selftest
+from nbinar import h_fold, selftest
 from nbinar.distributions import log_gamma
 
 # (alpha, mu, r) triples exercised throughout; the middle one has
@@ -75,10 +75,19 @@ def tv_to_pmf(values, pmf):
     return selftest.tv_to_pmf(values, np.array([pmf(k) for k in range(int(values.max()) + 1)]))
 
 
+def coeff_A(n, i, y):
+    """The binomial term C(n, i) y^i (1 - y)^(n - i), 0 <= i <= n, 0 < y < 1,
+    in log space."""
+    return math.exp(float(log_gamma(n + 1.0) - log_gamma(i + 1.0) - log_gamma(n - i + 1.0))
+                    + i * math.log(y) + (n - i) * math.log1p(-y))
+
+
 def coeff_B_split(n, l, y, ybar):
-    """coeff_B(n, l, y) with 1 - y passed in as ybar.  Where y is near 1, a
-    1 - y formed from y keeps only eps / (1 - y) relative accuracy: at
-    1 - y = 2.5e-8 that is 3e-9, above the 1e-9 the oracle comparisons need."""
+    """The kernel Gamma(n) / (Gamma(l) Gamma(n - l + 1)) y^l (1 - y)^(n - l)
+    at real n >= l > 0, for integer n, l the term C(n-1, l-1) y^l (1-y)^(n-l),
+    with 1 - y passed in as ybar.  Where y is near 1, a 1 - y formed from y
+    keeps only eps / (1 - y) relative accuracy: at 1 - y = 2.5e-8 that is
+    3e-9, above the 1e-9 the oracle comparisons need."""
     return math.exp(float(log_gamma(n) - log_gamma(l) - log_gamma(n - l + 1.0))
                     + l * math.log(y) + (n - l) * math.log(ybar))
 

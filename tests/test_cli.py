@@ -316,6 +316,13 @@ def test_mc_schema_violation_exit_code(tmp_path):
         "estimators": ["cls"], "master_seed": 1,
         "output_path": str(tmp_path / "mc")}))
     assert main(["mc", "--config", str(cfg_path)]) == 2
+    # repeated estimators or sample sizes are refused, not run twice
+    for repeated in ({"estimators": ["cls", "cls"]}, {"n_grid": [50, 50]}):
+        cfg_path.write_text(json.dumps({
+            "alpha": 0.5, "mu": 2.0, "r": 1.0, "n_grid": [50], "replicates": 2,
+            "estimators": ["cls"], "master_seed": 1,
+            "output_path": str(tmp_path / "mc"), **repeated}))
+        assert main(["mc", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "mc.csv").exists()
 
 

@@ -1,4 +1,4 @@
-"""Tests for the negative binomial building blocks and kernel coefficients."""
+"""Tests for the negative binomial primitives and the oracles' kernel coefficients."""
 
 import math
 
@@ -13,8 +13,6 @@ from numpy.testing import assert_allclose
 from nbinar import (
     NBParams,
     ParameterError,
-    coeff_A,
-    coeff_B,
     log_gamma,
     nb_central_moments,
     nb_pgf,
@@ -23,9 +21,7 @@ from nbinar import (
     nb_sample,
     nb_support_bound,
 )
-from nbinar.distributions import ShiftedGeomParams
-
-from conftest import check_suite
+from conftest import check_suite, coeff_A, coeff_B_split
 
 NB_GRID = [NBParams(r, mu) for r in (0.5, 1.0, 2.5) for mu in (0.5, 2.0, 5.0)]
 
@@ -137,7 +133,7 @@ def test_nb_pmf_is_coeff_B_at_real_index():
     for params in NB_GRID:
         theta = params.mu / (params.mu + params.r)
         for k in range(0, 40):
-            want = coeff_B(k + params.r, params.r, 1.0 - theta)
+            want = coeff_B_split(k + params.r, params.r, 1.0 - theta, theta)
             assert_allclose(nb_pmf(params, k), want, rtol=1e-13)
 
 
@@ -212,9 +208,9 @@ def test_coeff_A_rows_sum_to_one(n, y):
 
 def test_coeff_B_hand_values():
     # B_1^{(2)}(0.5) = C(1,0) 0.5 * 0.5 = 0.25
-    assert_allclose(coeff_B(2.0, 1.0, 0.5), 0.25, rtol=1e-14)
+    assert_allclose(coeff_B_split(2.0, 1.0, 0.5, 0.5), 0.25, rtol=1e-14)
     # l = n collapses to y^n
-    assert_allclose(coeff_B(4.0, 4.0, 0.3), 0.3 ** 4, rtol=1e-13)
+    assert_allclose(coeff_B_split(4.0, 4.0, 0.3, 0.7), 0.3 ** 4, rtol=1e-13)
 
 
 def test_coeff_B_integer_reduction():
@@ -222,7 +218,7 @@ def test_coeff_B_integer_reduction():
         for l in range(1, n + 1):
             for y in (0.2, 0.5, 0.8):
                 want = math.comb(n - 1, l - 1) * y ** l * (1.0 - y) ** (n - l)
-                assert_allclose(coeff_B(float(n), float(l), y), want, rtol=1e-13)
+                assert_allclose(coeff_B_split(float(n), float(l), y, 1.0 - y), want, rtol=1e-13)
 
 
 def test_domain_errors():
@@ -235,32 +231,3 @@ def test_domain_errors():
         NBParams(0.0, 2.0)
     with pytest.raises(ParameterError):
         NBParams(1.0, -2.0)
-    with pytest.raises(ParameterError):
-        coeff_A(3, 4, 0.5)
-    with pytest.raises(ParameterError):
-        coeff_A(3, 1, 0.0)
-    with pytest.raises(ParameterError):
-        coeff_B(2.0, 3.0, 0.5)
-    with pytest.raises(ParameterError):
-        coeff_B(2.0, 0.0, 0.5)
-
-
-def test_shifted_geometric_pmf_and_moments():
-    sg = ShiftedGeomParams(0.4)
-    assert sg.pmf(0) == 0.0
-    assert_allclose(sg.pmf(1), 0.6, rtol=1e-15)
-    assert_allclose(sg.pmf(3), 0.6 * 0.4 ** 2, rtol=1e-14)
-    k = np.arange(1, 600, dtype=float)
-    pmf = 0.6 * 0.4 ** (k - 1.0)
-    assert abs(pmf.sum() - 1.0) <= 1e-12
-    want = [float(np.sum(pmf * k ** j)) for j in (1, 2, 3, 4)]
-    assert_allclose(sg.raw_moments(), want, rtol=1e-12)
-
-
-def test_shifted_geometric_pgf_series_oracle():
-    sg = ShiftedGeomParams(0.4)
-    k = np.arange(1, 400, dtype=float)
-    pmf = 0.6 * 0.4 ** (k - 1.0)
-    for s in (0.0, 0.3, 0.9, 1.0):
-        want = float(np.sum(pmf * s ** k))
-        assert_allclose(sg.pgf(s), want, atol=1e-13, rtol=1e-12)

@@ -50,6 +50,16 @@ def test_config_validation():
         small_config(estimators=())
     with pytest.raises(ParameterError):
         small_config(master_seed=-1)
+    # built directly, a config checks its integer fields as ``from_dict`` does:
+    # a fraction, a boolean or a string fails instead of being truncated or
+    # failing later inside the run
+    for bad in ({"replicates": 2.5}, {"n_grid": (50.7,)}, {"master_seed": 1.5},
+                {"replicates": "3"}, {"master_seed": True}):
+        with pytest.raises(ParameterError):
+            small_config(**bad)
+    cfg = small_config(n_grid=(np.int64(50), 60.0), replicates=2.0, master_seed=1.0)
+    assert (cfg.n_grid, cfg.replicates, cfg.master_seed) == ((50, 60), 2, 1)
+    assert all(type(v) is int for v in (*cfg.n_grid, cfg.replicates, cfg.master_seed))
 
 
 def test_config_from_dict_schema():
@@ -64,7 +74,9 @@ def test_config_from_dict_schema():
     # integer fields are not coerced: fractions, booleans and strings fail
     for bad in ({"master_seed": 1.5}, {"replicates": 2.9}, {"n_grid": [10.7]},
                 {"master_seed": True}, {"replicates": "3"}, {"n_grid": ["50"]},
-                {"n_grid": 50}):
+                {"n_grid": 50},
+                # a repeated entry would count each series twice in its block
+                {"estimators": ["cls", "cls"]}, {"n_grid": [50, 50]}):
         with pytest.raises(ParameterError):
             MCConfig.from_dict({**doc, **bad})
     assert MCConfig.from_dict({**doc, "replicates": 2.0}).replicates == 2
