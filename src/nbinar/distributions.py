@@ -13,13 +13,13 @@ here as a positive mixture and by the recurrence of its pgf.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln as log_gamma
 
 __all__ = [
-    "TAIL_TOL",
     "ParameterError",
     "NBParams",
     "log_gamma",
@@ -31,30 +31,55 @@ __all__ = [
     "nb_support_bound",
 ]
 
-# Geometric tail domination: NB(r, mu) tail sums are truncated at the
-# ``nb_support_bound`` K, whose tail P(X >= K) lies below TAIL_TOL.
-TAIL_TOL = 1e-14
-
 
 class ParameterError(ValueError):
     """A parameter or index lies outside its domain."""
 
 
-def _check_count(k, name: str = "k") -> int:
-    try:
-        kk = int(k)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a non-negative integer, got {k!r}") from None
-    if kk != k or kk < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, got {k!r}")
-    return kk
+# The three input checks of the package: a count, an array of counts and a
+# real in an interval.  None coerces a bool or a string, and a plain int or
+# float passes on the first type test.
+def _check_count(value, name: str = "k", minimum: int = 0) -> int:
+    """An integer (numpy's too) or an integral float, at least ``minimum``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral)
+                or (isinstance(value, numbers.Real) and float(value).is_integer())):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
-def _check_unit_interval(s, name: str = "s") -> float:
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {s}")
-    return s
+def _check_counts(values, name: str) -> np.ndarray:
+    """A non-empty 1-D array of non-negative counts, as a new int64 array:
+    an integer dtype or integral floats, never bools."""
+    v = np.asarray(values)
+    if v.ndim != 1 or v.size == 0:
+        raise ParameterError(f"{name} must be a non-empty one-dimensional array")
+    if not (v.dtype.kind in "iu" or (v.dtype.kind == "f" and np.isfinite(v).all()
+                                     and (np.rint(v) == v).all())):
+        raise ParameterError(f"{name} entries must be integers")
+    v = v.astype(np.int64)
+    if (v < 0).any():
+        raise ParameterError(f"{name} entries must be non-negative")
+    return v
+
+
+def _check_real(value, name: str, low: float, high: float = math.inf,
+                closed: bool = False) -> float:
+    """A finite real number (an int or numpy's too) in (low, high), or in
+    [low, high] if ``closed``."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    # an open interval holds no infinity and no NaN, whatever its ends
+    if low < value < high or (closed and low <= value <= high and math.isfinite(value)):
+        return value
+    interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+    raise ParameterError(f"{name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +90,9 @@ class NBParams:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ParameterError(f"mu must be positive and finite, got {self.mu}")
+        attrs = self.__dict__  # the class is frozen: store the checked floats directly
+        attrs["r"] = _check_real(self.r, "r", 0.0)
+        attrs["mu"] = _check_real(self.mu, "mu", 0.0)
 
     @property
     def theta(self) -> float:
@@ -97,7 +121,7 @@ def nb_pmf_vector(params: NBParams, kmax: int) -> np.ndarray:
 
 def nb_pgf(params: NBParams, s: float) -> float:
     """E[s^X] = (1 + mu (1 - s) / r)^(-r) for s in [0, 1]."""
-    s = _check_unit_interval(s)
+    s = _check_real(s, "s", 0.0, 1.0, closed=True)
     return (1.0 + params.mu * (1.0 - s) / params.r) ** (-params.r)
 
 
@@ -123,7 +147,7 @@ def nb_central_moments(params: NBParams) -> tuple[float, float, float, float]:
     return mu, v, m3, m4
 
 
-def nb_support_bound(params: NBParams, tol: float = TAIL_TOL) -> int:
+def nb_support_bound(params: NBParams, tol: float) -> int:
     """Smallest K with pmf(K) < tol (1 - max(theta, rho_K)), so P(X >= K) < tol.
 
     Past the mode the ratio rho_k = pmf(k+1) / pmf(k) = theta (k + r) / (k + 1)
@@ -132,12 +156,10 @@ def nb_support_bound(params: NBParams, tol: float = TAIL_TOL) -> int:
     past the mode on; K is found by doubling steps and bisection on the log
     pmf, so no pmf value has to be representable as a double.
     """
-    if not (0.0 < tol < 1.0):
-        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     r, mu = params.r, params.mu
     log_theta = -math.log1p(r / mu)
     log_base = -r * math.log1p(mu / r) - float(log_gamma(r))
-    log_tol = math.log(tol)
+    log_tol = math.log(_check_real(tol, "tol", 0.0, 1.0))
 
     def below(k: int) -> bool:
         # 1 - max(theta, rho_k) = (r (k+1) + min(0, mu (1-r))) / ((k+1) (mu+r))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .distributions import ParameterError, nb_central_moments
+from .distributions import ParameterError, _check_real, nb_central_moments
 from .process import Series, transition_rows
 from .thinning import ModelParams, g_central_moments
 
@@ -175,8 +175,9 @@ def cls_variances(series: Series, *, known_alpha: float | None = None,
 
     Residuals are U_t = X_t - alpha X_{t-1} - mu_eps with (alpha, mu_eps)
     either estimated by ``cls_means`` (default) or supplied as known values
-    via the keywords, in which case the derived quantities use the known
-    values too.  The pair used is reported as ``means``.
+    in the domain, alpha in (0, 1) and mu_eps > 0, via the keywords, in which
+    case the derived quantities use the known values too.  The pair used is
+    reported as ``means``.
     """
     if (known_alpha is None) != (known_mu_eps is None):
         raise ParameterError("known_alpha and known_mu_eps must be given together")
@@ -185,7 +186,8 @@ def cls_variances(series: Series, *, known_alpha: float | None = None,
     if known_alpha is None:
         means, mode = cls_means(series), "estimated-means"
     else:
-        means = _mean_estimates(float(known_alpha), float(known_mu_eps), "known",
+        means = _mean_estimates(_check_real(known_alpha, "known_alpha", 0.0, 1.0),
+                                _check_real(known_mu_eps, "known_mu_eps", 0.0), "known",
                                 prev.size)
         mode = "known-means"
     alpha, mu_eps = means.alpha_hat, means.mu_eps_hat
@@ -259,6 +261,8 @@ def predicted_cov(p: ModelParams) -> CovMatrices:
 def _pair_counts(x: np.ndarray):
     """The distinct origins ``rows`` and, for each distinct pair (i, j), the
     position of i in ``rows``, j and the pair's count; then max j."""
+    if x.size < 2:
+        raise ParameterError("need at least 2 observations")
     prev = x[:-1]
     curr = x[1:]
     jmax = int(curr.max())
@@ -279,10 +283,7 @@ def loglik(series: Series, p: ModelParams) -> float:
     """Conditional log-likelihood given X_0: sum of log one-step transition
     probabilities.  Transitions whose probability underflows to zero
     contribute the finite sentinel log(5e-324) each."""
-    x = series.values
-    if x.size < 2:
-        raise ParameterError("need at least 2 observations")
-    value, _ = _loglik_counts(p, *_pair_counts(x))
+    value, _ = _loglik_counts(p, *_pair_counts(series.values))
     return value
 
 
@@ -321,12 +322,9 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     collapsed below 1e-6 in the transformed space within 500 iterations, at a
     point inside the box |t| <= 30 to which the parameters are clipped.
     """
-    x = series.values
-    if x.size < 2:
-        raise ParameterError("need at least 2 observations")
+    pairs = _pair_counts(series.values)
     if init is None:
         init = _auto_init(series)
-    pairs = _pair_counts(x)
 
     def unpack(t):
         t = np.clip(t, -_SEARCH_BOX, _SEARCH_BOX)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import estimation
-from .distributions import ParameterError, nb_central_moments
+from .distributions import ParameterError, _check_count, nb_central_moments
 from .estimation import (
     CovMatrices,
     DegenerateSeriesError,
@@ -158,24 +157,6 @@ class EmptyReportError(RuntimeError):
     """Every replicate of a block failed; nothing to aggregate."""
 
 
-def _config_int(name: str, value) -> int:
-    """An integer config entry: an integer (numpy's too) or an integral float,
-    never a bool or a string, which ``int`` would coerce."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral)
-            or (isinstance(value, float) and value.is_integer())):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _config_float(name: str, value) -> float:
-    """A real config entry: an int or a float, never a bool or a string,
-    which ``float`` would coerce."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class MCConfig:
     """Experiment definition: model, series lengths, replication, seeding."""
@@ -188,25 +169,27 @@ class MCConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid",
-                           tuple(_config_int("n_grid entry", n) for n in self.n_grid))
-        object.__setattr__(self, "replicates", _config_int("replicates", self.replicates))
-        object.__setattr__(self, "master_seed", _config_int("master_seed", self.master_seed))
+        if not isinstance(self.params, ModelParams):
+            raise ParameterError(f"params must be a ModelParams, got {self.params!r}")
+        for name in ("n_grid", "estimators"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ParameterError(f"{name} must be a list, got {getattr(self, name)!r}")
+        path = self.output_path
+        if not (path is None or isinstance(path, str) and path):
+            raise ParameterError(f"output_path must be a non-empty string, got {path!r}")
+        object.__setattr__(self, "n_grid", tuple(_check_count(n, "n_grid entry", 10)
+                                                 for n in self.n_grid))
+        object.__setattr__(self, "replicates", _check_count(self.replicates, "replicates", 2))
+        object.__setattr__(self, "master_seed", _check_count(self.master_seed, "master_seed"))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.replicates < 2:
-            raise ParameterError(f"replicates must be >= 2, got {self.replicates}")
-        if not self.n_grid or any(n < 10 for n in self.n_grid):
-            raise ParameterError("every n_grid entry must be >= 10")
         # a repeated n or estimator would count each of its series twice in one block
-        if len(set(self.n_grid)) < len(self.n_grid):
-            raise ParameterError(f"n_grid entries must be distinct, got {list(self.n_grid)}")
+        if not self.n_grid or len(set(self.n_grid)) < len(self.n_grid):
+            raise ParameterError(f"n_grid must be non-empty and distinct, got {list(self.n_grid)}")
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown or not self.estimators:
             raise ParameterError(f"estimators must be a non-empty subset of {ESTIMATORS}")
         if len(set(self.estimators)) < len(self.estimators):
             raise ParameterError(f"estimators must be distinct, got {list(self.estimators)}")
-        if self.master_seed < 0:
-            raise ParameterError("master_seed must be a non-negative integer")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MCConfig":
@@ -220,10 +203,8 @@ class MCConfig:
         if missing or extra:
             raise ParameterError(
                 f"config schema violation: missing {missing}, unexpected {extra}")
-        params = ModelParams(**{k: _config_float(k, doc[k]) for k in ("alpha", "mu", "r")})
-        if not isinstance(doc["n_grid"], list):
-            raise ParameterError("n_grid must be a list of integers")
-        return cls(params=params, n_grid=doc["n_grid"], replicates=doc["replicates"],
+        return cls(params=ModelParams(doc["alpha"], doc["mu"], doc["r"]),
+                   n_grid=doc["n_grid"], replicates=doc["replicates"],
                    estimators=doc["estimators"], master_seed=doc["master_seed"],
                    output_path=doc.get("output_path"))
 

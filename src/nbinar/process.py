@@ -22,7 +22,8 @@ from .distributions import (
     _binom_nb_mixture,
     _binom_nb_rows,
     _check_count,
-    _check_unit_interval,
+    _check_counts,
+    _check_real,
     nb_sample,
     nb_support_bound,
 )
@@ -56,19 +57,7 @@ class Series:
     meta: dict | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or v.size == 0:
-            raise ParameterError("series must be a non-empty one-dimensional array")
-        if not np.issubdtype(v.dtype, np.integer):
-            rounded = np.asarray(np.rint(v), dtype=np.int64)
-            if not np.array_equal(rounded, v):
-                raise ParameterError("series entries must be integers")
-            v = rounded
-        else:
-            v = v.astype(np.int64)
-        if (v < 0).any():
-            raise ParameterError("series entries must be non-negative")
-        self.values = v
+        self.values = _check_counts(self.values, "series")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -115,9 +104,7 @@ def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
     with eps ~ NB(r, (1 - alpha) mu) iid instead.  ``meta`` names the
     ``sampler`` ("table" or "loop") and counts the ``extended_rows``.
     """
-    n = _check_count(n, "n")
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    n = _check_count(n, "n", 1)
     x0 = int(nb_sample(p.marginal(), rng))
     J = nb_support_bound(p.marginal(), 1e-12)
     if _use_table(J, n):
@@ -196,9 +183,7 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     recurrence of the conditional pgf where it is stable (``_binom_nb_rows``).
     """
     j_max = _check_count(j_max, "j_max")
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or rows.size == 0 or (rows < 0).any():
-        raise ParameterError("rows must be a non-empty vector of states")
+    rows = _check_counts(rows, "rows")
     hp = h_fold(p, h)
     return _binom_nb_rows(rows, j_max, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
@@ -238,7 +223,7 @@ def conditional_moments(p: ModelParams, x: int, h: int = 1) -> tuple[float, floa
 def conditional_pgf(p: ModelParams, x: int, h: int, s: float) -> float:
     """E[s^{X_{t+h}} | X_t = x] in closed form."""
     x = _check_count(x, "x")
-    s = _check_unit_interval(s)
+    s = _check_real(s, "s", 0.0, 1.0, closed=True)
     hp = h_fold(p, h)
     q = hp.q_tilde_h
     denom = 1.0 - (1.0 - q) * s
@@ -251,8 +236,8 @@ def joint_pgf(p: ModelParams, s1: float, s2: float) -> float:
     The displayed form is symmetric in (s1, s2): the stationary process is
     time reversible.
     """
-    s1 = _check_unit_interval(s1, "s1")
-    s2 = _check_unit_interval(s2, "s2")
+    s1 = _check_real(s1, "s1", 0.0, 1.0, closed=True)
+    s2 = _check_real(s2, "s2", 0.0, 1.0, closed=True)
     r, mu, alpha = p.r, p.mu, p.alpha
     abar_mu = (1.0 - alpha) * mu
     # group (s1 + s2) and (s1 * s2) so the swap symmetry holds bitwise

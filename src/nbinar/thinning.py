@@ -17,17 +17,15 @@ times stays in the family with parameters (beta_h, theta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     NBParams,
-    ParameterError,
     _binom_nb_mixture,
     _check_count,
-    _check_unit_interval,
+    _check_real,
 )
 
 __all__ = [
@@ -57,12 +55,10 @@ class ModelParams:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ParameterError(f"mu must be positive and finite, got {self.mu}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
+        attrs = self.__dict__  # the class is frozen: store the checked floats directly
+        attrs["alpha"] = _check_real(self.alpha, "alpha", 0.0, 1.0)
+        attrs["mu"] = _check_real(self.mu, "mu", 0.0)
+        attrs["r"] = _check_real(self.r, "r", 0.0)
 
     @property
     def q_tilde(self) -> float:
@@ -91,12 +87,10 @@ class AltParams:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and 0.0 < self.beta < 1.0):
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
-        if not (math.isfinite(self.theta) and 0.0 < self.theta < 1.0):
-            raise ParameterError(f"theta must lie in (0, 1), got {self.theta}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
+        attrs = self.__dict__  # the class is frozen: store the checked floats directly
+        attrs["beta"] = _check_real(self.beta, "beta", 0.0, 1.0)
+        attrs["theta"] = _check_real(self.theta, "theta", 0.0, 1.0)
+        attrs["r"] = _check_real(self.r, "r", 0.0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ def odot_to_star(a: AltParams) -> ModelParams:
 
 def odot_pgf(beta: float, theta: float, s: float) -> float:
     """pgf of the (beta, theta) operator count: 1 - beta (1-s) / (1 - (1-beta) theta s)."""
-    s = _check_unit_interval(s)
+    s = _check_real(s, "s", 0.0, 1.0, closed=True)
     return 1.0 - beta * (1.0 - s) / (1.0 - (1.0 - beta) * theta * s)
 
 
@@ -151,7 +145,7 @@ def g_pmf(p: ModelParams, k: int) -> float:
 
 def g_pgf(p: ModelParams, s: float) -> float:
     """pgf of G in the (alpha, mu, r) form."""
-    s = _check_unit_interval(s)
+    s = _check_real(s, "s", 0.0, 1.0, closed=True)
     return 1.0 - p.alpha * (1.0 - s) / (1.0 + (1.0 - p.alpha) * p.mu * (1.0 - s) / p.r)
 
 
@@ -186,9 +180,7 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
     the bridge identity.  beta_h is formed as that product, which keeps its
     digits where theta is near 1 (r << mu).
     """
-    hh = _check_count(h, "h")
-    if hh < 1:
-        raise ParameterError(f"h must be a positive integer, got {h!r}")
+    hh = _check_count(h, "h", 1)
     alpha_h = p.alpha**hh
     abar_mu = (1.0 - alpha_h) * p.mu
     q_h = p.r / (p.r + abar_mu)

@@ -237,6 +237,9 @@ def test_estimate_known_mueps_alone_is_rejected(tmp_path):
     argv = ["estimate", "--in", str(series_path), "--method", "cls-var"]
     assert main([*argv, "--known-mueps", "1.0"]) == 2
     assert main([*argv, "--known-alpha", "0.5"]) == 2
+    # known means outside the parameter domain: alpha in (0, 1), mu_eps > 0
+    for alpha, mu_eps in (("nan", "1"), ("1.5", "1"), ("0.5", "-3")):
+        assert main([*argv, "--known-alpha", alpha, "--known-mueps", mu_eps]) == 2
 
 
 def test_parser_built_once_runs_each_command_as_if_alone(tmp_path, capsys, monkeypatch):
@@ -300,7 +303,8 @@ def test_mc_subcommand_round_trip(tmp_path, capsys):
     assert {b["estimator"] for b in doc["blocks"]} == {"cls", "yw"}
 
 
-def test_mc_schema_violation_exit_code(tmp_path):
+def test_mc_schema_violation_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"alpha": 0.5}))
     assert main(["mc", "--config", str(cfg_path)]) == 2
@@ -323,7 +327,15 @@ def test_mc_schema_violation_exit_code(tmp_path):
             "estimators": ["cls"], "master_seed": 1,
             "output_path": str(tmp_path / "mc"), **repeated}))
         assert main(["mc", "--config", str(cfg_path)]) == 2
-    assert not (tmp_path / "mc.csv").exists()
+    # a non-list estimators field and a path that is not a non-empty string are
+    # refused before anything runs or is written
+    for bad in ({"estimators": 5}, {"output_path": 7}, {"output_path": ""}):
+        cfg_path.write_text(json.dumps({
+            "alpha": 0.5, "mu": 2.0, "r": 1.0, "n_grid": [50], "replicates": 2,
+            "estimators": ["cls"], "master_seed": 1,
+            "output_path": str(tmp_path / "mc"), **bad}))
+        assert main(["mc", "--config", str(cfg_path)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("name", selftest.SUITES)

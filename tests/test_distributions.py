@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nbinar import (
+    AltParams,
+    ModelParams,
     NBParams,
     ParameterError,
+    Series,
+    h_fold,
     log_gamma,
     nb_central_moments,
     nb_pgf,
@@ -20,7 +24,10 @@ from nbinar import (
     nb_pmf_vector,
     nb_sample,
     nb_support_bound,
+    simulate,
+    transition_prob,
 )
+from nbinar.process import transition_rows
 from conftest import check_suite, coeff_A, coeff_B_split
 
 NB_GRID = [NBParams(r, mu) for r in (0.5, 1.0, 2.5) for mu in (0.5, 2.0, 5.0)]
@@ -231,3 +238,43 @@ def test_domain_errors():
         NBParams(0.0, 2.0)
     with pytest.raises(ParameterError):
         NBParams(1.0, -2.0)
+
+
+P_HAND = ModelParams(0.5, 2.0, 1.0)
+
+
+# The public entry points refuse a value that is not a number of its kind,
+# which int() or float() would read: a bool as 0 or 1, a string as its
+# number, a fraction as its integer part.
+@pytest.mark.parametrize("call", [
+    lambda: ModelParams(0.5, True, 1),
+    lambda: NBParams(True, 2.0),
+    lambda: AltParams(0.5, 0.5, True),
+    lambda: simulate(P_HAND, True, np.random.default_rng(0)),
+    lambda: h_fold(P_HAND, True),
+    lambda: transition_prob(P_HAND, True, 1),
+    lambda: Series(np.array([True, False])),
+    lambda: nb_pgf(NBParams(1.0, 2.0), "0.5"),
+    lambda: ModelParams("0.5", 2, 1),
+    lambda: transition_rows(P_HAND, [1.7], 3),
+], ids=["ModelParams-bool", "NBParams-bool", "AltParams-bool", "simulate-bool",
+        "h_fold-bool", "transition_prob-bool", "Series-bool", "nb_pgf-str",
+        "ModelParams-str", "transition_rows-fraction"])
+def test_non_numbers_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_numpy_scalars_pass_and_parameters_are_stored_as_floats():
+    p = ModelParams(np.float64(0.5), np.int64(2), 1)
+    objects = (p, AltParams(np.float32(0.25), 0.5, np.int32(3)),
+               NBParams(np.int64(1), np.float64(2.0)))
+    for obj in objects:
+        assert all(type(v) is float for v in vars(obj).values()), obj
+    assert p == P_HAND
+    assert h_fold(p, np.int64(2)) == h_fold(P_HAND, 2)
+    assert transition_prob(p, np.int64(1), np.float64(1.0)) == transition_prob(P_HAND, 1, 1)
+    assert nb_pgf(objects[2], np.float64(0.5)) == nb_pgf(NBParams(1.0, 2.0), 0.5)
+    assert_allclose(transition_rows(p, np.array([1.0, 2.0]), 3),
+                    transition_rows(P_HAND, [1, 2], 3), rtol=0, atol=0)
+    assert len(simulate(p, np.int64(5), np.random.default_rng(0))) == 5

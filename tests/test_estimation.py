@@ -167,6 +167,10 @@ def test_cls_variances_known_means_close_to_estimated():
         assert known.residual_mode == "known-means"
         assert abs(known.sigma_g2_hat - est.sigma_g2_hat) <= 2.0 * se_g
         assert abs(known.sigma_eps2_hat - est.sigma_eps2_hat) <= 2.0 * se_e
+    # known means outside the parameter domain are refused, not used
+    for bad in ({"known_alpha": math.nan}, {"known_alpha": 1.5}, {"known_mu_eps": -3.0}):
+        with pytest.raises(ParameterError):
+            cls_variances(series, **{"known_alpha": 0.5, "known_mu_eps": 1.0, **bad})
 
 
 def test_cls_variances_two_sigma2_routes_agree():

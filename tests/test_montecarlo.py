@@ -54,7 +54,10 @@ def test_config_validation():
     # a fraction, a boolean or a string fails instead of being truncated or
     # failing later inside the run
     for bad in ({"replicates": 2.5}, {"n_grid": (50.7,)}, {"master_seed": 1.5},
-                {"replicates": "3"}, {"master_seed": True}):
+                {"replicates": "3"}, {"master_seed": True},
+                # every other field is checked too: a list, a model, a path
+                {"estimators": 5}, {"n_grid": 50}, {"params": (0.5, 2.0, 1.0)},
+                {"output_path": 7}, {"output_path": ""}):
         with pytest.raises(ParameterError):
             small_config(**bad)
     cfg = small_config(n_grid=(np.int64(50), 60.0), replicates=2.0, master_seed=1.0)
@@ -76,7 +79,10 @@ def test_config_from_dict_schema():
                 {"master_seed": True}, {"replicates": "3"}, {"n_grid": ["50"]},
                 {"n_grid": 50},
                 # a repeated entry would count each series twice in its block
-                {"estimators": ["cls", "cls"]}, {"n_grid": [50, 50]}):
+                {"estimators": ["cls", "cls"]}, {"n_grid": [50, 50]},
+                # a non-list estimators field, and a path that is not a
+                # non-empty string
+                {"estimators": 5}, {"output_path": 7}, {"output_path": ""}):
         with pytest.raises(ParameterError):
             MCConfig.from_dict({**doc, **bad})
     assert MCConfig.from_dict({**doc, "replicates": 2.0}).replicates == 2
