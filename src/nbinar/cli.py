@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .distributions import ParameterError
+from .distributions import ParameterError, _check_count
 from .estimation import DegenerateSeriesError
 from .montecarlo import (
     ESTIMATORS,
@@ -95,7 +95,7 @@ def _model_params(args) -> ModelParams:
 
 def cmd_simulate(args) -> int:
     p = _model_params(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_count(args.seed, "seed"))
     series = simulate(p, args.n, rng)
     write_series(args.out, series)
     meta = dict(series.meta or {})

@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 from scipy.special import gammaln as log_gamma
 
 __all__ = [
@@ -36,8 +37,8 @@ class ParameterError(ValueError):
     """A parameter or index lies outside its domain."""
 
 
-# The three input checks of the package: a count, an array of counts and a
-# real in an interval.  None coerces a bool or a string, and a plain int or
+# The input checks of the package: a count, an array of counts, a sample shape
+# and a real in an interval.  None coerces a bool or a string, and a plain int or
 # float passes on the first type test.
 def _check_count(value, name: str = "k", minimum: int = 0) -> int:
     """An integer (numpy's too) or an integral float, at least ``minimum``."""
@@ -65,6 +66,15 @@ def _check_counts(values, name: str) -> np.ndarray:
     if (v < 0).any():
         raise ParameterError(f"{name} entries must be non-negative")
     return v
+
+
+def _check_size(size):
+    """A sample shape: None, a count or a tuple of counts."""
+    if size is None:
+        return None
+    if isinstance(size, tuple):
+        return tuple(_check_count(n, "size") for n in size)
+    return _check_count(size, "size")
 
 
 def _check_real(value, name: str, low: float, high: float = math.inf,
@@ -126,8 +136,9 @@ def nb_pgf(params: NBParams, s: float) -> float:
 
 
 def nb_sample(params: NBParams, rng: np.random.Generator, size=None):
-    """Draw from NB(r, mu) as a Poisson with Gamma(r, scale mu/r) mean."""
-    lam = rng.gamma(shape=params.r, scale=params.mu / params.r, size=size)
+    """Draw from NB(r, mu) as a Poisson with Gamma(r, scale mu/r) mean; ``size``
+    is None for one draw, or a count or a tuple of counts."""
+    lam = rng.gamma(shape=params.r, scale=params.mu / params.r, size=_check_size(size))
     return rng.poisson(lam)
 
 
@@ -182,11 +193,11 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
 
 def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.ndarray:
     """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at rows x cols,
-    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n c^k, c = 1 - q given
-    apart so it keeps its digits where q is near 1, and NB(.; 0, q) the point
-    mass at 0: a b-thinning of i plus an independent NB(r, q) count.
-    Every term is positive, so one matrix product is accurate everywhere.
-    N runs over 0..min(max row, max col): the terms past either are 0."""
+    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n c^k and c = 1 - q given
+    apart so it keeps its digits where q is near 1: a b-thinning of i plus an
+    independent NB(r, q) count.  Every term is positive, so one matrix product
+    is accurate everywhere.  N runs over 0..min(max row, max col): the terms
+    past either are 0.  ``_BinomNBPairs`` sums the same terms at given pairs."""
     i = np.asarray(rows, dtype=float)[:, None]
     j = np.asarray(cols, dtype=float)[None, :]
     n = np.arange(min(i.max(), j.max()) + 1.0)
@@ -198,9 +209,179 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.
             + (nn + r) * math.log(q) + (j - nn) * math.log(c)
     m = np.where(n <= i, np.exp(log_m), 0.0)
     k = np.where(nn <= j, np.exp(log_k), 0.0)
-    if r == 0.0:
-        k[0] = j[0] == 0.0
     return m @ k
+
+
+# Terms of ``_BinomNBPairs`` formed per numpy pass: a pass holds PAIR_BLOCK to
+# twice that many, with a few doubles of temporaries a term (a likelihood of
+# 1.4e7 terms peaks at 3.8 MB).
+PAIR_BLOCK = 1 << 16
+# exp of an argument below about -708 is subnormal or 0 and some 20 times slower
+# to form; a term that far below its pair's largest adds under 1e-304 of it.
+_LOG_TINY = -700.0
+
+
+# From this r on, differences of log Gamma(x + r) and psi(x + r) over x come
+# from their asymptotic series, whose first omitted terms are below 1e-18 there.
+_R_ASYMPTOTIC = 100.0
+
+
+def _stirling_tail(z):
+    """log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 for z >= 100:
+    1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7)."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - w / 1680.0) * w) * w) / z
+
+
+def _log_gamma_shift(x, r: float):
+    """log Gamma(x + r), less a constant in r alone, for x >= 0.
+
+    At large r, log Gamma(x + r) is a large number whose differences over x
+    lose their digits.  There it is formed as log Gamma(x + r) - log Gamma(r)
+    = (x + r - 1/2) log(1 + x/r) + x (log r - 1) + S(x + r) - S(r), S the
+    Stirling remainder; every term but the last is positive.
+    """
+    if r < _R_ASYMPTOTIC:
+        return log_gamma(x + r)
+    z = x + r
+    return (z - 0.5) * np.log1p(x / r) + x * (math.log(r) - 1.0) \
+        + (_stirling_tail(z) - _stirling_tail(r))
+
+
+def _digamma_shift(x, r: float):
+    """psi(x + r), less a constant in r alone, for x >= 0: at large r,
+    psi(x + r) - psi(r) from psi(z) = log z - 1/(2z) - 1/(12z^2) + 1/(120z^4)
+    - 1/(252z^6), with the first three differences formed without cancelling."""
+    if r < _R_ASYMPTOTIC:
+        return digamma(x + r)
+    z = x + r
+    w, v = 1.0 / (z * z), 1.0 / (r * r)
+    return np.log1p(x / r) + x / (2.0 * z * r) + x * (z + r) * w * v / 12.0 \
+        + ((1.0 / 120.0 - w / 252.0) * w * w - (1.0 / 120.0 - v / 252.0) * v * v)
+
+
+def _log_terms_n(n, b: float, q: float, c: float, r: float):
+    """The parts of log T_N (``_BinomNBPairs``) that vary with N and the
+    parameters: N log(b q / ((1 - b) c)) - log Gamma(N + r)."""
+    log_q = -math.log1p(c / q)  # keeps its digits where q is near 1
+    return n * (math.log(b) - math.log1p(-b) + log_q - math.log(c)) - _log_gamma_shift(n, r)
+
+
+def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
+    """The parts of log T_N that vary with the pair and the parameters only:
+    log Gamma(j + r) + i log(1 - b) + r log q + j log c."""
+    return (_log_gamma_shift(j, r) + i * math.log1p(-b) - r * math.log1p(c / q)
+            + j * math.log(c))
+
+
+class _BinomNBPairs:
+    """``_binom_nb_mixture`` at given (i, j) pairs: log P(j | i) of each pair,
+    and on request the posterior means of N and of psi(N + r), in log space.
+
+    The term of survivor count N <= m = min(i, j), with s = max(i, j), is
+        log T_N = log i! - log N! - log (m - N)! - log (s - N)!
+                  + log Gamma(j + r) - log Gamma(N + r)
+                  + N log(b q / ((1 - b) c)) + i log(1 - b) + r log q + j log c,
+    so its log-factorials are the same for every (b, q, c, r): they are read
+    from one table built here, over [0, max m] and each pair's [s - m, s].
+    log P is the log-sum-exp of the pair's terms, and the derivative of log P
+    in any parameter is the mean of its terms' derivatives under the weights
+    T_N / P (Fisher's identity), which needs only E[N] and E[psi(N + r)].
+    log Gamma and psi are taken less a constant in r (``_log_gamma_shift``,
+    ``_digamma_shift``), which cancels from every difference.
+    The terms are formed about PAIR_BLOCK at a time, a longer pair in pieces,
+    so memory follows the block and the number of pairs.  Needs r > 0.
+    """
+
+    def __init__(self, i, j):
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        m, s = np.minimum(i, j), np.maximum(i, j)
+        # the log-factorial table over the union of [0, max m] and each [s - m, s],
+        # merged into disjoint runs
+        lo, hi = np.append(s - m, 0), np.append(s, m.max())
+        order = np.argsort(lo, kind="stable")
+        lo, reach = lo[order], np.maximum.accumulate(hi[order])
+        new_run = np.empty(lo.size, dtype=bool)
+        new_run[0] = True
+        np.greater(lo[1:], reach[:-1] + 1, out=new_run[1:])
+        first = np.flatnonzero(new_run)
+        run_lo, run_hi = lo[first], reach[np.append(first[1:], lo.size) - 1]
+        run_len = run_hi - run_lo + 1
+        run_at = np.cumsum(run_len) - run_len
+        self.log_fact = log_gamma(np.arange(run_len.sum())
+                                  + np.repeat(run_lo - run_at, run_len) + 1.0)
+        run = np.empty(lo.size, dtype=np.int64)
+        run[order] = np.cumsum(new_run) - 1
+        # the run starting at 0 is the first: N! and (m - N)! sit at N and m - N,
+        # and (s - N)! at s_at - N
+        s_at = run_at[run[:-1]] + s - run_lo[run[:-1]]
+        self.log_fact_i = np.where(i == s, self.log_fact[s_at], self.log_fact[m])
+        self.i, self.j, self.n_max = i.astype(float), j.astype(float), int(m.max())
+        # pieces of at most PAIR_BLOCK terms, each with its pair, its first N and
+        # the table indices of (m - N)! and (s - N)! at that N
+        count = -(-(m + 1) // PAIR_BLOCK)
+        self.pair_first = np.cumsum(count) - count
+        self.piece_pair = np.repeat(np.arange(m.size), count)
+        self.piece_n0 = (np.arange(self.piece_pair.size)
+                         - self.pair_first[self.piece_pair]) * PAIR_BLOCK
+        self.piece_len = np.minimum(m[self.piece_pair] + 1 - self.piece_n0, PAIR_BLOCK)
+        self.piece_m = m[self.piece_pair] - self.piece_n0
+        self.piece_s = s_at[self.piece_pair] - self.piece_n0
+        ends = np.cumsum(self.piece_len)
+        cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK), side="right")
+        self.blocks = list(zip([0, *cuts.tolist()], [*cuts.tolist(), ends.size]))
+
+    def log_prob(self, b: float, q: float, c: float, r: float, moments: bool = False):
+        """log P(j | i) of each pair; with ``moments``, also E[N] and
+        E[psi(N + r)] under each pair's posterior over N."""
+        lf = self.log_fact
+        n = np.arange(self.n_max + 1.0)
+        log_t = _log_terms_n(n, b, q, c, r) - lf[:n.size]
+        psi = _digamma_shift(n, r) if moments else None
+        const = (self.log_fact_i
+                 + _log_terms_pair(self.i, self.j, b, q, c, r))[self.piece_pair]
+        sums = []
+        for p0, p1 in self.blocks:
+            lens = self.piece_len[p0:p1]
+            start = np.cumsum(lens) - lens
+            t = np.arange(start[-1] + lens[-1])
+            # the term at t of a piece starting at start has N = n0 + t - start
+            nn = np.repeat(self.piece_n0[p0:p1] - start, lens) + t
+            x = log_t[nn]
+            x -= lf[np.repeat(self.piece_m[p0:p1] + start, lens) - t]
+            x -= lf[np.repeat(self.piece_s[p0:p1] + start, lens) - t]
+            x += np.repeat(const[p0:p1], lens)
+            top = np.maximum.reduceat(x, start)
+            x -= np.repeat(top, lens)
+            np.maximum(x, _LOG_TINY, out=x)
+            np.exp(x, out=x)
+            block = [top, np.add.reduceat(x, start)]
+            if moments:
+                block += [np.add.reduceat(x * nn, start), np.add.reduceat(x * psi[nn], start)]
+            sums.append(block)
+        top, total, *rest = (np.concatenate(parts) for parts in zip(*sums))
+        # each pair's pieces, rescaled to the pair's largest term
+        pair_top = np.maximum.reduceat(top, self.pair_first)
+        scale = np.exp(top - pair_top[self.piece_pair])
+        total = np.add.reduceat(total * scale, self.pair_first)
+        log_p = pair_top + np.log(total)
+        if not moments:
+            return log_p
+        return (log_p, *(np.add.reduceat(part * scale, self.pair_first) / total
+                         for part in rest))
+
+
+def _binom_nb_cell(i: int, j: int, b: float, q: float, c: float, r: float) -> float:
+    """P(j | i) of ``_binom_nb_mixture`` at one pair: the terms of
+    ``_BinomNBPairs`` with their log-factorials formed directly, O(min(i, j))."""
+    m, s = min(i, j), max(i, j)
+    n = np.arange(m + 1.0)
+    x = _log_terms_n(n, b, q, c, r) - log_gamma(n + 1.0) - log_gamma(m - n + 1.0) \
+        - log_gamma(s - n + 1.0)
+    top = x.max()
+    return math.exp(top + _log_terms_pair(i, j, b, q, c, r) + float(log_gamma(i + 1.0))
+                    + math.log(np.exp(np.maximum(x - top, _LOG_TINY)).sum()))
 
 
 def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> np.ndarray:

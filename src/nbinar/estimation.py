@@ -3,9 +3,11 @@
 Conditional least squares for the mean pair (alpha, mu_eps), Yule-Walker
 moment matching, a second-stage least squares pass on squared residuals for
 (sigma_G^2, sigma_eps^2) with derived sigma^2 and r estimators, and
-conditional maximum likelihood by simplex search.  Both least squares stages
-are one regression on (X_{t-1}, 1), and their predicted asymptotic covariance
-matrices are one sandwich; Yule-Walker shares the mean-pair matrix.  The
+conditional maximum likelihood by L-BFGS-B on the exact score.  Both least
+squares stages are one regression on (X_{t-1}, 1), and their predicted
+asymptotic covariance matrices are one sandwich; Yule-Walker shares the
+mean-pair matrix.  The likelihood and its score are evaluated only at the
+distinct observed transitions (``distributions._BinomNBPairs``); the
 likelihood fit has no predicted covariance.
 
 Sum-index convention: for a series of length m the first observation is the
@@ -22,9 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .distributions import ParameterError, _check_real, nb_central_moments
-from .process import Series, transition_rows
-from .thinning import ModelParams, g_central_moments
+from .distributions import (
+    ParameterError,
+    _BinomNBPairs,
+    _check_real,
+    _digamma_shift,
+    nb_central_moments,
+)
+from .process import MAX_PAIR_TERMS, Series
+from .thinning import ModelParams, g_central_moments, h_fold
 
 __all__ = [
     "DegenerateSeriesError",
@@ -39,10 +47,6 @@ __all__ = [
     "loglik",
     "cml_fit",
 ]
-
-# log of the smallest positive double: sentinel for underflowing transitions
-_LOG_UNDERFLOW = math.log(5e-324)
-
 
 class DegenerateSeriesError(ValueError):
     """The series admits no well-defined estimator (constant regressor)."""
@@ -105,11 +109,15 @@ class CovMatrices:
 
 @dataclass(frozen=True)
 class CmlFit:
-    """Result of a conditional maximum likelihood fit."""
+    """Result of a conditional maximum likelihood fit.  ``n_iter`` counts the
+    optimizer's iterations and ``n_eval`` the likelihood evaluations;
+    ``n_underflow`` the transitions whose log-probability is not finite at
+    the estimate."""
 
     params: ModelParams
     loglik: float
     n_iter: int
+    n_eval: int
     converged: bool
     n_underflow: int
     message: str
@@ -258,33 +266,56 @@ def predicted_cov(p: ModelParams) -> CovMatrices:
                        sigma_vars=sigma_vars)
 
 
-def _pair_counts(x: np.ndarray):
-    """The distinct origins ``rows`` and, for each distinct pair (i, j), the
-    position of i in ``rows``, j and the pair's count; then max j."""
+def _pairs(x: np.ndarray) -> tuple[_BinomNBPairs, np.ndarray]:
+    """The distinct transitions (i, j) of the series and their counts.  Their
+    work, the number of mixture terms an evaluation sums, is checked against
+    MAX_PAIR_TERMS before anything of that size is built."""
     if x.size < 2:
         raise ParameterError("need at least 2 observations")
-    prev = x[:-1]
-    curr = x[1:]
-    jmax = int(curr.max())
-    code = prev * (jmax + 1) + curr
-    uniq, counts = np.unique(code, return_counts=True)
-    rows, pos = np.unique(uniq // (jmax + 1), return_inverse=True)
-    return rows, pos, uniq % (jmax + 1), counts, jmax
+    pairs, counts = np.unique(np.column_stack([x[:-1], x[1:]]), axis=0, return_counts=True)
+    work = int(np.minimum(pairs[:, 0], pairs[:, 1]).sum(dtype=float)) + len(pairs)
+    if work > MAX_PAIR_TERMS:
+        raise ParameterError(f"the likelihood needs {work} mixture terms, sum of "
+                             f"min(i, j) + 1 over the distinct transitions (i, j), "
+                             f"above the budget of {MAX_PAIR_TERMS}")
+    return _BinomNBPairs(pairs[:, 0], pairs[:, 1]), counts.astype(float)
 
 
-def _loglik_counts(p: ModelParams, rows, pos, j_idx, counts, jmax) -> tuple[float, int]:
-    pv = transition_rows(p, rows, jmax, 1)[pos, j_idx]
-    under = pv <= 0.0
-    logs = np.where(under, _LOG_UNDERFLOW, np.log(np.where(under, 1.0, pv)))
-    return float(counts @ logs), int(counts[under].sum())
+def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: bool):
+    """The log-likelihood at p, the number of transitions whose log P is not
+    finite and, with ``score``, the gradient in (logit alpha, log mu, log r).
+
+    The one-step law has (b, q, c) = (alpha q, q, 1 - q) with
+    q = r / D, D = r + (1 - alpha) mu.  The kernel's posterior means of N and
+    psi(N + r) give d log P / d(b, q, c, r), with q and c taken apart:
+        E[N] / b - (i - E[N]) / (1 - b),  (E[N] + r) / q,  (j - E[N]) / c,
+        psi(j + r) - E[psi(N + r)] + log q,
+    and dq / d(alpha, mu, r) = (q mu, -q (1 - alpha), c) / D, dc = -dq,
+    db = alpha dq + (q, 0, 0) carry them to (alpha, mu, r).
+    """
+    hp = h_fold(p, 1)
+    b, q, c, r = hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r
+    if not score:
+        log_p = pairs.log_prob(b, q, c, r)
+    else:
+        log_p, mean_n, mean_psi = pairs.log_prob(b, q, c, r, moments=True)
+    value = float(counts @ log_p)
+    n_nonfinite = int(counts[~np.isfinite(log_p)].sum())
+    if not score:
+        return value, None, n_nonfinite
+    s_b = counts @ (mean_n / b - (pairs.i - mean_n) / (1.0 - b))
+    s_qc = counts @ ((mean_n + r) / q - (pairs.j - mean_n) / c)
+    s_r = counts @ (_digamma_shift(pairs.j, r) - mean_psi) - counts.sum() * math.log1p(c / q)
+    abar = 1.0 - p.alpha
+    dq = np.array([q * p.mu, -q * abar, c]) / (r + abar * p.mu)
+    grad = s_b * (p.alpha * dq + [q, 0.0, 0.0]) + s_qc * dq + [0.0, 0.0, s_r]
+    return value, grad * [p.alpha * abar, p.mu, r], n_nonfinite
 
 
 def loglik(series: Series, p: ModelParams) -> float:
     """Conditional log-likelihood given X_0: sum of log one-step transition
-    probabilities.  Transitions whose probability underflows to zero
-    contribute the finite sentinel log(5e-324) each."""
-    value, _ = _loglik_counts(p, *_pair_counts(series.values))
-    return value
+    probabilities, each summed in log space over the distinct transitions."""
+    return _evaluate(*_pairs(series.values), p, False)[0]
 
 
 def _auto_init(series: Series) -> ModelParams:
@@ -312,42 +343,80 @@ def _auto_init(series: Series) -> ModelParams:
 _SEARCH_BOX = 30.0
 
 
+def _box_params(t) -> ModelParams:
+    """The parameters at t = (logit alpha, log mu, log r)."""
+    return ModelParams(alpha=1.0 / (1.0 + math.exp(-t[0])), mu=math.exp(t[1]),
+                       r=math.exp(t[2]))
+
+
 def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
-    """Maximize the conditional log-likelihood by Nelder-Mead simplex search
-    over (logit alpha, log mu, log r).
+    """Maximize the conditional log-likelihood by L-BFGS-B on its exact score
+    over (logit alpha, log mu, log r), bounded to the box |t| <= 30.
 
     The default start is the Yule-Walker alpha (clipped to (0.01, 0.99)) and
     mu, with r from the moment estimator clipped positive; degenerate series
-    fall back to (0.5, series mean, 1).  Convergence means the simplex
-    collapsed below 1e-6 in the transformed space within 500 iterations, at a
-    point inside the box |t| <= 30 to which the parameters are clipped.
+    fall back to (0.5, series mean, 1).  Convergence means L-BFGS-B met its
+    tolerance (relative change of the likelihood 1e-12, or projected score
+    1e-5) within 500 iterations, or stopped in its line search where its
+    quasi-Newton model predicts a gain below 1e-12 |loglik|, at a point
+    inside the box.  Where the
+    likelihood still rises towards the box edge in a coordinate, the fit moves
+    there, and an estimate on the edge is reported as not converged.
+    ``n_eval`` counts the likelihood evaluations.
     """
-    pairs = _pair_counts(series.values)
+    pairs, counts = _pairs(series.values)
     if init is None:
         init = _auto_init(series)
+    n_eval = n_iter = 0
 
-    def unpack(t):
-        t = np.clip(t, -_SEARCH_BOX, _SEARCH_BOX)
-        return ModelParams(alpha=1.0 / (1.0 + math.exp(-t[0])),
-                           mu=math.exp(t[1]), r=math.exp(t[2]))
+    def evaluate(t, score=True):
+        nonlocal n_eval
+        n_eval += 1
+        return _evaluate(pairs, counts, _box_params(t), score)
 
-    def nll(t):
-        value, _ = _loglik_counts(unpack(t), *pairs)
-        return -value
+    def objective(t):
+        value, grad, _ = evaluate(t)
+        return -value, -grad
 
-    t0 = np.array([math.log(init.alpha / (1.0 - init.alpha)),
-                   math.log(init.mu), math.log(init.r)])
-    res = minimize(nll, t0, method="Nelder-Mead",
-                   options={"xatol": 1e-6, "fatol": 1e-9,
-                            "maxiter": 500, "maxfev": 10000})
-    params = unpack(res.x)
-    value, n_under = _loglik_counts(params, *pairs)
+    def fit(t):
+        nonlocal n_iter
+        res = minimize(objective, t, jac=True, method="L-BFGS-B",
+                       bounds=[(-_SEARCH_BOX, _SEARCH_BOX)] * 3,
+                       options={"ftol": 1e-12, "maxiter": 500})
+        n_iter += res.nit
+        return res
+
+    res = fit(np.clip([math.log(init.alpha / (1.0 - init.alpha)), math.log(init.mu),
+                       math.log(init.r)], -_SEARCH_BOX, _SEARCH_BOX))
+    # Where the likelihood rises towards a face of the box (alpha -> 0 or 1,
+    # r -> infinity, ...), its score in t fades like exp(-|t|) and the fit stops
+    # short of the face: try each coordinate's face on the rising side, and fit
+    # again from the best that is no lower.
+    for _ in range(3):
+        faces = []
+        for k in np.flatnonzero(res.jac):
+            face = res.x.copy()
+            face[k] = -math.copysign(_SEARCH_BOX, res.jac[k])
+            if face[k] != res.x[k]:
+                faces.append((evaluate(face, score=False)[0], k, face))
+        best = max(faces, default=None)
+        if best is None or best[0] < -res.fun:
+            break
+        res = fit(best[2])
+    value, _, n_nonfinite = evaluate(res.x, score=False)
     converged, message = bool(res.success), str(res.message)
-    if np.any(np.abs(res.x) > _SEARCH_BOX):
-        # the reported parameters are the clipped edge, not the optimum
+    # Near the optimum the likelihood's rounding (some 1e-15 of it) can stall
+    # the line search: that stop counts when the fit's own quasi-Newton model
+    # leaves less than ftol |loglik| to gain.
+    if res.status == 2 and res.jac @ res.hess_inv.matvec(res.jac) <= 2e-12 * abs(res.fun):
+        converged = True
+        message = (f"{message.rstrip(': ')}: the line search stalled where the "
+                   f"quasi-Newton model predicts a gain below 1e-12 |loglik|")
+    if np.any(np.abs(res.x) >= _SEARCH_BOX):
         converged = False
-        message = (f"optimum (logit alpha, log mu, log r) = {res.x.tolist()} lies "
-                   f"outside the search box |t| <= {_SEARCH_BOX:g}")
-    return CmlFit(params=params, loglik=value, n_iter=int(res.nit),
-                  converged=converged, n_underflow=n_under,
+        message = (f"the likelihood rises to the box edge at (logit alpha, log mu, "
+                   f"log r) = {res.x.tolist()}: the optimum lies outside the search "
+                   f"box |t| <= {_SEARCH_BOX:g}")
+    return CmlFit(params=_box_params(res.x), loglik=value, n_iter=n_iter,
+                  n_eval=n_eval, converged=converged, n_underflow=n_nonfinite,
                   message=message, init=init)

@@ -115,7 +115,7 @@ def _fit_cml(series: Series) -> Fit:
                                        ("underflow", fit.n_underflow > 0)) if raised]
     details = {"loglik": fit.loglik,
                "convergence": {"converged": fit.converged, "n_iter": fit.n_iter,
-                               "message": fit.message,
+                               "n_eval": fit.n_eval, "message": fit.message,
                                "n_underflow": fit.n_underflow},
                "init": asdict(fit.init)}
     return Fit({"alpha_hat": a, "mu_hat": mu, "r_hat": r,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import (
     ParameterError,
-    _binom_nb_mixture,
+    _binom_nb_cell,
     _binom_nb_rows,
     _check_count,
     _check_counts,
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 MAX_STATE = 5000  # largest state of a dense table: (MAX_STATE + 1)^2 doubles, 200 MB
+# most terms a likelihood may sum, sum of min(i, j) + 1 over its distinct
+# transitions (i, j): about 0.3 s an evaluation, and a log-factorial table of
+# at most twice as many doubles, 270 MB
+MAX_PAIR_TERMS = 1 << 24
 
 
 @dataclass
@@ -173,7 +177,7 @@ def transition_prob(p: ModelParams, i: int, j: int, h: int = 1) -> float:
     i = _check_count(i, "i")
     j = _check_count(j, "j")
     hp = h_fold(p, h)
-    return float(_binom_nb_mixture([i], [j], hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)[0, 0])
+    return _binom_nb_cell(i, j, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
 
 def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
@@ -260,7 +264,8 @@ def ma_sample(p: ModelParams, J: int, rng: np.random.Generator, size=None):
 
     Returns sum_{j=0..J} of the (beta_j, theta) operator applied to
     independent innovations (the j = 0 term is the innovation itself);
-    as J grows the law converges to the NB(r, mu) marginal.
+    as J grows the law converges to the NB(r, mu) marginal.  ``size`` is as
+    for ``nb_sample``.
     """
     J = _check_count(J, "J")
     eps_params = p.innovation()

@@ -17,13 +17,14 @@ times stays in the family with parameters (beta_h, theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     NBParams,
-    _binom_nb_mixture,
+    _binom_nb_cell,
     _check_count,
     _check_real,
 )
@@ -195,12 +196,18 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     exceeds N by an NB(N, q_tilde_h) count, so for k >= 1 this is
     sum_{N=1..min(k,x)} Binom(N; x, beta_h) NB(k - N; N, q_tilde_h), and
     (1 - beta_h)^x at k = 0: the transition kernel at r = 0, fed the same
-    (beta_h, q_tilde_h, qbar_h) of ``h_fold``.
+    (beta_h, q_tilde_h, qbar_h) of ``h_fold``.  At r = 0 the kernel's N = 0
+    term is log 0, so k = 0, where it is the only nonzero one, and x = 0,
+    where it is the only one, are taken apart.
     """
     x = _check_count(x, "x")
     k = _check_count(k, "k")
     hp = h_fold(p, h)
-    return float(_binom_nb_mixture([x], [k], hp.beta_h, hp.q_tilde_h, hp.qbar_h, 0.0)[0, 0])
+    if k == 0:
+        return math.exp(x * math.log1p(-hp.beta_h))
+    if x == 0:
+        return 0.0
+    return _binom_nb_cell(x, k, hp.beta_h, hp.q_tilde_h, hp.qbar_h, 0.0)
 
 
 def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:

@@ -113,6 +113,13 @@ def test_simulate_rejects_bad_alpha(tmp_path):
     assert not dest.exists()
 
 
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    dest = tmp_path / "x.txt"
+    assert main(["simulate", *BASE, "--n", "50", "--seed", "-1", "--out", str(dest)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 def test_simulate_io_failure(tmp_path):
     dest = tmp_path / "no" / "such" / "dir" / "x.txt"
     code = main(["simulate", *BASE, "--n", "50", "--seed", "1",
@@ -282,6 +289,20 @@ def test_estimate_malformed_file_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\ntwo\n3\n")
     assert main(["estimate", "--in", str(bad), "--method", "cls"]) == 3
+
+
+@pytest.mark.parametrize("values", [
+    # counts near 4e9, where an int64 pair code i (max j + 1) + j wraps
+    [4 * 10**9 + d for d in (0, 1, -1, 2, 0, 3, -2, 1, 0, 2, -1)],
+    # counts near 1e9: about 1e10 mixture terms
+    [10**9 + d for d in (0, 5, -3, 2, 7, -1, 4, 0, 6, -2, 3)],
+], ids=["near-4e9", "near-1e9"])
+def test_estimate_cml_over_the_work_budget_exits_2(tmp_path, capsys, values):
+    path = tmp_path / "series.txt"
+    path.write_text("".join(f"{v}\n" for v in values))
+    assert main(["estimate", "--in", str(path), "--method", "cml"]) == 2
+    err = capsys.readouterr().err
+    assert "mixture terms" in err and "budget" in err and "Traceback" not in err
 
 
 def test_mc_subcommand_round_trip(tmp_path, capsys):

@@ -27,7 +27,8 @@ from nbinar import (
     simulate,
     transition_prob,
 )
-from nbinar.process import transition_rows
+from nbinar.distributions import _digamma_shift, _log_gamma_shift
+from nbinar.process import ma_sample, transition_rows
 from conftest import check_suite, coeff_A, coeff_B_split
 
 NB_GRID = [NBParams(r, mu) for r in (0.5, 1.0, 2.5) for mu in (0.5, 2.0, 5.0)]
@@ -263,6 +264,32 @@ P_HAND = ModelParams(0.5, 2.0, 1.0)
 def test_non_numbers_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("r", [0.5, 99.0, 100.0, 1e4, 7e9])
+def test_log_gamma_and_digamma_differences_match_mpmath(r):
+    # the likelihood takes log Gamma(x + r) and psi(x + r) only in differences
+    # over x; at large r those keep their digits.  Below r = 100 psi is taken
+    # directly, and its differences keep the absolute error of psi itself
+    x = np.array([0.0, 1.0, 3.0, 50.0, 1e3, 1e5])
+    got = _log_gamma_shift(x, r)[1:] - _log_gamma_shift(x, r)[0]
+    got_psi = _digamma_shift(x, r)[1:] - _digamma_shift(x, r)[0]
+    with mpmath.workdps(40):
+        want = [float(mpmath.loggamma(v + r) - mpmath.loggamma(r)) for v in x[1:]]
+        want_psi = [float(mpmath.digamma(v + r) - mpmath.digamma(r)) for v in x[1:]]
+    assert_allclose(got, want, rtol=2e-14)
+    assert_allclose(got_psi, want_psi, rtol=2e-14, atol=4e-15)
+
+
+@pytest.mark.parametrize("size", [True, -1, 2.5, "3", (2, True), (2, -1), [2, 3]])
+def test_sample_size_must_be_none_a_count_or_a_tuple_of_counts(size):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError):
+        nb_sample(NBParams(1.0, 2.0), rng, size=size)
+    with pytest.raises(ParameterError):
+        ma_sample(P_HAND, 3, rng, size=size)
+    for good in (None, 4, np.int64(4), (2, 3)):
+        assert np.shape(nb_sample(NBParams(1.0, 2.0), rng, size=good)) == np.empty(good or ()).shape
 
 
 def test_numpy_scalars_pass_and_parameters_are_stored_as_floats():

@@ -23,7 +23,8 @@ from nbinar import (
     transition_prob,
     yw_means,
 )
-from nbinar.estimation import _LOG_UNDERFLOW
+from nbinar import distributions
+from nbinar.estimation import _evaluate, _pairs
 
 from conftest import WIDE_TRIPLES, models, mp_g_moments, mp_nb_moments, mp_relative_error
 
@@ -290,10 +291,49 @@ def test_loglik_hand_value_and_additivity():
     assert_allclose(got, want, rtol=1e-13)
 
 
-def test_loglik_underflow_sentinel():
-    # transition 0 -> 400 with a tiny innovation mean underflows to zero
-    value = loglik(Series(np.array([0, 400])), ModelParams(0.5, 0.01, 1.0))
-    assert value == _LOG_UNDERFLOW
+def test_loglik_far_transition_matches_mpmath():
+    # P(400 | 0) at a tiny innovation mean is about exp(-2.1e3), far below the
+    # smallest double, and its log is still exact: the innovation NB(1, 0.005) pmf
+    p = ModelParams(0.5, 0.01, 1.0)
+    with mpmath.workdps(30):
+        m = (1 - mpmath.mpf(p.alpha)) * mpmath.mpf(p.mu)
+        want = float(400 * mpmath.log(m / (1 + m)) - mpmath.log(1 + m))
+    value = loglik(Series(np.array([0, 400])), p)
+    assert math.isfinite(value) and value < -2000.0
+    assert_allclose(value, want, rtol=1e-14)
+
+
+def test_loglik_and_score_are_the_same_summed_in_blocks_and_pieces(monkeypatch):
+    # with blocks of 4 terms, several pairs share a block and long pairs are
+    # split into pieces, which are merged again per pair
+    series = Series(np.array([0, 7, 3, 12, 12, 5, 30, 0, 2, 9, 40, 38]))
+    p = ModelParams(0.7, 4.0, 2.5)
+    want = _evaluate(*_pairs(series.values), p, True)
+    monkeypatch.setattr(distributions, "PAIR_BLOCK", 4)
+    pairs, counts = _pairs(series.values)
+    assert len(pairs.blocks) > 3 and pairs.piece_pair.size > counts.size
+    got = _evaluate(pairs, counts, p, True)
+    assert_allclose(got[0], want[0], rtol=1e-14)
+    assert_allclose(got[1], want[1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("triple", [(0.5, 2.0, 1.0), (0.9, 50.0, 0.5), (0.95, 10.0, 5.0)])
+def test_loglik_score_matches_central_differences(triple):
+    series = simulate(ModelParams(*triple), 300, np.random.default_rng(41))
+    pairs, counts = _pairs(series.values)
+    # at a point off the optimum, so that no coordinate of the score is near 0
+    alpha, mu, r = triple[0] * 0.9, triple[1] * 1.2, triple[2] * 0.8
+    t = np.array([math.log(alpha / (1.0 - alpha)), math.log(mu), math.log(r)])
+
+    def at(t):
+        return loglik(series, ModelParams(1.0 / (1.0 + math.exp(-t[0])),
+                                          math.exp(t[1]), math.exp(t[2])))
+
+    value, score, _ = _evaluate(pairs, counts, ModelParams(alpha, mu, r), True)
+    h = 1e-5
+    central = [(at(t + h * e) - at(t - h * e)) / (2.0 * h) for e in np.eye(3)]
+    # the differences carry about 1e-16 |loglik| / h of rounding and h^2 of truncation
+    assert_allclose(score, central, rtol=1e-6, atol=1e-9 * abs(value))
 
 
 def test_cml_fit_cannot_worsen_truth_start():

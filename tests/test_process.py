@@ -42,6 +42,7 @@ from nbinar.process import (
     default_max_state,
     transition_rows,
 )
+from nbinar.distributions import _BinomNBPairs
 from nbinar.thinning import odot_pgf
 
 from conftest import (
@@ -238,6 +239,18 @@ def test_transition_rows_match_oracle_wide_domain(case):
     p, h, rows, j_max = case
     event("forward recurrence" if branch_margin(p, h) > 0.0 else "positive mixture")
     got = transition_rows(p, rows, j_max, h)
+    # the likelihood's per-pair sum is within 1e-12 of each cell the row kernel
+    # holds as a normal double; where the kernel is further off (it loses digits
+    # near r = 1e-3 and above r ~ 500), within 1e-12 of mpmath
+    hp = h_fold(p, h)
+    i, j = np.meshgrid(rows, np.arange(j_max + 1), indexing="ij")
+    pair_p = np.exp(_BinomNBPairs(i.ravel(), j.ravel()).log_prob(
+        hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r))
+    cells = got.ravel()
+    apart = ~np.isclose(pair_p, cells, rtol=1e-12, atol=0.0)
+    for k in np.flatnonzero(apart & (cells >= np.finfo(float).tiny)):
+        want = pgf_coefficient_mpmath(p, int(i.flat[k]), int(j.flat[k]), h)
+        assert abs(pair_p[k] - want) <= 1e-12 * want
     for a, i in enumerate(rows):
         assert_allclose(got[a], transition_row_oracle(p, i, j_max, h),
                         rtol=1e-9, atol=1e-300)
