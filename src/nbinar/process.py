@@ -14,6 +14,7 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 MAX_STATE = 5000  # largest state of a dense table: (MAX_STATE + 1)^2 doubles, 200 MB
+# most cells one ``transition_rows`` call may fill, so a table at MAX_STATE fits
+MAX_CELLS = (MAX_STATE + 1) ** 2
 # most terms a likelihood may sum, sum of min(i, j) + 1 over its distinct
 # transitions (i, j): about 0.3 s an evaluation, and a log-factorial table of
 # at most twice as many doubles, 270 MB
@@ -100,19 +103,23 @@ def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
     X_0 is drawn from the NB(r, mu) marginal.  Each later state inverts the
     closed-form transition law at one uniform u_t,
     X_{t+1} = min{j : P(X_{t+1} <= j | X_t) > u_t}, by bisection in CDF rows
-    of ``transition_rows`` built once on 0..J, J the NB(r, mu) support bound
-    at 1e-12.  A step the table cannot invert (X_t > J, or u_t at or above
-    the row's CDF at J) extends that row (``_invert_row``), so every draw
-    follows the exact law.  Where the table would cost more than it saves
-    (``_use_table``), the chain is stepped as X_{t+1} = thin(X_t) + eps_{t+1}
-    with eps ~ NB(r, (1 - alpha) mu) iid instead.  ``meta`` names the
-    ``sampler`` ("table" or "loop") and counts the ``extended_rows``.
+    of ``transition_rows`` on 0..J, J the NB(r, mu) support bound at 1e-12.
+    The rows of the last triple simulated are kept for the next call at the
+    same triple (``_cdf_rows``), so they stay in memory after this call
+    returns: one table at a time, about 160 KB at J = 69 and at most about
+    34 MB at TABLE_MAX_STATE.  A step the table cannot invert (X_t > J, or
+    u_t at or above the row's CDF at J) extends that row (``_invert_row``),
+    so every draw follows the exact law.  Where the table would cost more
+    than it saves (``_use_table``), the chain is stepped as
+    X_{t+1} = thin(X_t) + eps_{t+1} with eps ~ NB(r, (1 - alpha) mu) iid
+    instead.  ``meta`` names the ``sampler`` ("table" or "loop") and counts
+    the ``extended_rows``.
     """
     n = _check_count(n, "n", 1)
     x0 = int(nb_sample(p.marginal(), rng))
-    J = nb_support_bound(p.marginal(), 1e-12)
+    J = _support_bound(p)
     if _use_table(J, n):
-        cdf = np.cumsum(transition_rows(p, np.arange(J + 1), J), axis=1).tolist()
+        cdf = _cdf_rows(p)
         path, state, extended = [x0], x0, 0
         for u in rng.random(n - 1).tolist():
             j = bisect_right(cdf[state], u) if state <= J else J + 1
@@ -139,7 +146,11 @@ def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
 # cost of a cell.  Measured at nine triples (Xeon, Python 3.11, numpy 2.4): a
 # cell costs 0.05-0.2 us to build, a bisect step 0.23-0.47 us and a loop step
 # 1.6-3.8 us, so the break-even (J + 1)^2 / n lies between 10 and 49.
-# TABLE_MAX_STATE bounds the table's lists to about 34 MB.
+# TABLE_MAX_STATE bounds the table's lists to about 34 MB.  The rule counts a
+# build in every call, though ``_cdf_rows`` keeps the table for the next call
+# at the same triple; it is left so on purpose, since a threshold that knew of
+# the kept table would change which sampler runs, and so the series drawn, for
+# short n.
 TABLE_CELLS_PER_STEP = 16
 TABLE_MAX_STATE = 1023
 
@@ -147,6 +158,25 @@ TABLE_MAX_STATE = 1023
 def _use_table(J: int, n: int) -> bool:
     """Whether ``simulate`` inverts a table on 0..J for a series of length n."""
     return J <= TABLE_MAX_STATE and (J + 1) ** 2 <= TABLE_CELLS_PER_STEP * n
+
+
+@lru_cache(maxsize=1)
+def _support_bound(p: ModelParams) -> int:
+    """``simulate``'s table bound J: the NB(r, mu) support bound at 1e-12."""
+    return nb_support_bound(p.marginal(), 1e-12)
+
+
+@lru_cache(maxsize=1)
+def _cdf_rows(p: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """CDF rows of ``transition_rows(p, 0..J, J)`` as tuples, J = ``_support_bound(p)``.
+
+    Only the last triple's table is kept, so a Monte Carlo run, which
+    simulates every replicate at one triple, builds it once (once in each
+    worker process).  Tuples, because every caller shares the one table.
+    """
+    J = _support_bound(p)
+    cdf = np.cumsum(transition_rows(p, np.arange(J + 1), J), axis=1)
+    return tuple(map(tuple, cdf.tolist()))
 
 
 def _invert_row(p: ModelParams, x: int, u: float, J: int) -> int:
@@ -185,9 +215,15 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
 
     Row t holds P(X_{t+h} = j | X_t = rows[t]) for j = 0..j_max, from the
     recurrence of the conditional pgf where it is stable (``_binom_nb_rows``).
+    At most MAX_CELLS cells, len(rows) * (j_max + 1), are computed; more raise
+    ``ParameterError`` before anything is allocated.
     """
     j_max = _check_count(j_max, "j_max")
     rows = _check_counts(rows, "rows")
+    cells = rows.size * (j_max + 1)
+    if cells > MAX_CELLS:
+        raise ParameterError(f"{rows.size} rows on 0..{j_max} are {cells} cells, "
+                             f"more than the supported {MAX_CELLS}")
     hp = h_fold(p, h)
     return _binom_nb_rows(rows, j_max, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 

@@ -124,13 +124,15 @@ def test_run_experiment_reproducible():
 
 
 def test_run_experiment_parallel_matches_sequential(monkeypatch, tmp_path):
-    # compare the serialized artifacts; in-memory NaN fields defeat ==
+    # compare the serialized artifacts; in-memory NaN fields defeat ==.
+    # n = 50 and 80 run simulate's loop; n = 400 its table, which each worker
+    # process keeps for its next series
     sequential = run_experiment(
-        small_config(n_grid=(50, 80), replicates=3,
+        small_config(n_grid=(50, 80, 400), replicates=3,
                      output_path=str(tmp_path / "seq")))
     monkeypatch.setenv("NBINAR_THREADS", "2")
     parallel = run_experiment(
-        small_config(n_grid=(50, 80), replicates=3,
+        small_config(n_grid=(50, 80, 400), replicates=3,
                      output_path=str(tmp_path / "par")))
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 

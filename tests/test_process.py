@@ -34,10 +34,14 @@ from nbinar import (
     transition_table,
     write_series,
 )
+from nbinar import process
 from nbinar.process import (
+    MAX_CELLS,
     MAX_STATE,
     TransitionTable,
+    _cdf_rows,
     _invert_row,
+    _support_bound,
     _use_table,
     default_max_state,
     transition_rows,
@@ -153,6 +157,64 @@ def test_simulate_extends_rows_it_cannot_invert():
         want.append(j)
     assert series.values.tolist() == want
     assert series.meta["extended_rows"] == extended >= 3
+
+
+def simulate_cold(p, n, rng):
+    """``simulate`` with no table kept from an earlier call."""
+    _support_bound.cache_clear()
+    _cdf_rows.cache_clear()
+    return simulate(p, n, rng)
+
+
+def test_simulate_kept_table_draws_the_same_series():
+    # each call in the sequence either reuses the kept table or, after the
+    # other triple evicted it, builds it again; every series matches a build
+    # from scratch
+    other = ModelParams(0.3, 1.0, 2.0)
+    cases = [(P_HAND, 501, 1), (P_HAND, 2000, 2), (other, 400, 3),
+             (other, 1000, 4), (P_HAND, 307, 5), (other, 250, 6), (P_HAND, 501, 7)]
+    cold = [simulate_cold(p, n, np.random.default_rng(seed)) for p, n, seed in cases]
+    assert {s.meta["sampler"] for s in cold} == {"table"}
+    _cdf_rows.cache_clear()
+    for _ in range(2):
+        for (p, n, seed), want in zip(cases, cold):
+            warm = simulate(p, n, np.random.default_rng(seed))
+            assert np.array_equal(warm.values, want.values) and warm.meta == want.meta
+    info = _cdf_rows.cache_info()
+    assert info.hits >= 4 and info.misses >= 4 and info.currsize == 1
+
+
+def test_simulate_kept_table_on_extended_rows():
+    # with x0 > J the rows are extended; a kept table draws as a fresh one does
+    J = nb_support_bound(P_HAND.marginal(), 1e-12)
+    uniforms = np.full(399, 0.5)
+    uniforms[[0, 1, 50, 51]] = [1.0 - 1e-12, 0.2, 1.0 - 1e-13, 1.0 - 1e-12]
+    cold = simulate_cold(P_HAND, 400, ScriptedRng(J + 5, uniforms))
+    warm = simulate(P_HAND, 400, ScriptedRng(J + 5, uniforms))
+    assert cold.meta["extended_rows"] >= 3
+    assert np.array_equal(warm.values, cold.values) and warm.meta == cold.meta
+    fresh = np.cumsum(transition_rows(P_HAND, np.arange(J + 1), J), axis=1)
+    assert np.array_equal(_cdf_rows(P_HAND), fresh)
+
+
+def test_simulate_builds_the_table_once_per_triple(monkeypatch):
+    calls = {"transition_rows": 0, "nb_support_bound": 0}
+
+    def counted(name):
+        original = getattr(process, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(process, name, wrapped)
+
+    counted("transition_rows")
+    counted("nb_support_bound")
+    _support_bound.cache_clear()
+    _cdf_rows.cache_clear()
+    for seed in range(5):
+        assert simulate(P_HAND, 501, np.random.default_rng(seed)).meta["sampler"] == "table"
+    assert calls == {"transition_rows": 1, "nb_support_bound": 1}
 
 
 def test_simulate_near_independence_limit():
@@ -312,6 +374,19 @@ def test_transition_rows_peak_memory():
     n = int(rows.max()) + 1
     peak = peak_bytes(lambda: transition_rows(p, rows, j_max))
     assert peak <= 4 * (rows.size * n + n * (j_max + 1)) * 8
+
+
+def test_transition_rows_cell_budget():
+    # a table at MAX_STATE fits the budget; one more column does not, and the
+    # 10^9-column row that would take 8 GB fails before allocating
+    assert (MAX_STATE + 1) ** 2 <= MAX_CELLS < (MAX_STATE + 1) * (MAX_STATE + 2)
+    with pytest.raises(ParameterError, match=f"{(MAX_STATE + 1) * (MAX_STATE + 2)} cells"):
+        transition_rows(P_HAND, np.arange(MAX_STATE + 1), MAX_STATE + 1)
+
+    def huge_row():
+        with pytest.raises(ParameterError, match=f"{10**9 + 1} cells.*{MAX_CELLS}"):
+            transition_rows(P_HAND, [0], 10**9)
+    assert peak_bytes(huge_row) < 1e6
 
 
 def test_scalar_cell_memory_is_bounded_by_the_smaller_state():
