@@ -197,7 +197,9 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.
     apart so it keeps its digits where q is near 1: a b-thinning of i plus an
     independent NB(r, q) count.  Every term is positive, so one matrix product
     is accurate everywhere.  N runs over 0..min(max row, max col): the terms
-    past either are 0.  ``_BinomNBPairs`` sums the same terms at given pairs."""
+    past either are 0.  ``_BinomNBPairs`` sums the same terms at given pairs,
+    and log Gamma(j + r) - log Gamma(N + r) and log q are formed as there, so
+    they keep their digits at large r."""
     i = np.asarray(rows, dtype=float)[:, None]
     j = np.asarray(cols, dtype=float)[None, :]
     n = np.arange(min(i.max(), j.max()) + 1.0)
@@ -205,17 +207,23 @@ def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_m = log_gamma(i + 1.0) - log_gamma(n + 1.0) - log_gamma(i - n + 1.0) \
             + n * math.log(b) + (i - n) * math.log1p(-b)
-        log_k = log_gamma(j + r) - log_gamma(nn + r) - log_gamma(j - nn + 1.0) \
-            + (nn + r) * math.log(q) + (j - nn) * math.log(c)
+        log_k = _log_gamma_shift(j, r) - _log_gamma_shift(nn, r) - log_gamma(j - nn + 1.0) \
+            - (nn + r) * math.log1p(c / q) + (j - nn) * math.log(c)
     m = np.where(n <= i, np.exp(log_m), 0.0)
     k = np.where(nn <= j, np.exp(log_k), 0.0)
     return m @ k
 
 
 # Terms of ``_BinomNBPairs`` formed per numpy pass: a pass holds PAIR_BLOCK to
-# twice that many, with a few doubles of temporaries a term (a likelihood of
-# 1.4e7 terms peaks at 3.8 MB).
-PAIR_BLOCK = 1 << 16
+# twice that many, with a few doubles of temporaries a term (formed at each
+# evaluation, a likelihood of 1.4e7 terms peaks at 2.4 MB).  A pass's arrays,
+# 128 to 256 KB each, stay in cache: passes of 2^16 terms made one evaluation
+# of 5.6e6 terms about 1.6 times slower.
+PAIR_BLOCK = 1 << 14
+# Terms whose N and log-factorials ``_BinomNBPairs`` builds once and keeps for
+# every evaluation, 16 bytes a term (8.4 MB); the blocks past them are formed
+# again at each evaluation.
+PAIR_TERMS_KEPT = 1 << 19
 # exp of an argument below about -708 is subnormal or 0 and some 20 times slower
 # to form; a term that far below its pair's largest adds under 1e-304 of it.
 _LOG_TINY = -700.0
@@ -290,7 +298,10 @@ class _BinomNBPairs:
     log Gamma and psi are taken less a constant in r (``_log_gamma_shift``,
     ``_digamma_shift``), which cancels from every difference.
     The terms are formed about PAIR_BLOCK at a time, a longer pair in pieces,
-    so memory follows the block and the number of pairs.  Needs r > 0.
+    so memory follows the block and the number of pairs.  Each term's N and
+    its log-factorials are built here once for the first PAIR_TERMS_KEPT
+    terms; an evaluation adds to them only what depends on the parameters.
+    Blocks past that budget are built again at each evaluation.  Needs r > 0.
     """
 
     def __init__(self, i, j):
@@ -331,29 +342,47 @@ class _BinomNBPairs:
         ends = np.cumsum(self.piece_len)
         cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK), side="right")
         self.blocks = list(zip([0, *cuts.tolist()], [*cuts.tolist(), ends.size]))
+        # the blocks that end within the budget are built once, each term with
+        # -log N! - log (m - N)! - log (s - N)!
+        kept = np.searchsorted(ends[np.append(cuts, ends.size) - 1], PAIR_TERMS_KEPT,
+                               side="right")
+        minus_log_fact = -self.log_fact[:self.n_max + 1]
+        self.kept = [self._block_terms(p0, p1, minus_log_fact)
+                     for p0, p1 in self.blocks[:kept]]
+
+    def _block_terms(self, p0: int, p1: int, log_w):
+        """Of the terms of pieces p0..p1: each term's N, log_w[N] - log (m - N)!
+        - log (s - N)!, and each piece's first term."""
+        lens = self.piece_len[p0:p1]
+        start = np.cumsum(lens) - lens
+        t = np.arange(start[-1] + lens[-1])
+        # the term at t of a piece starting at start has N = n0 + t - start
+        nn = np.repeat(self.piece_n0[p0:p1] - start, lens)
+        nn += t
+        x = log_w[nn]
+        for first in (self.piece_m, self.piece_s):
+            k = np.repeat(first[p0:p1] + start, lens)
+            k -= t
+            x -= self.log_fact[k]
+        return nn, x, start
 
     def log_prob(self, b: float, q: float, c: float, r: float, moments: bool = False):
         """log P(j | i) of each pair; with ``moments``, also E[N] and
         E[psi(N + r)] under each pair's posterior over N."""
-        lf = self.log_fact
         n = np.arange(self.n_max + 1.0)
-        log_t = _log_terms_n(n, b, q, c, r) - lf[:n.size]
+        log_t = _log_terms_n(n, b, q, c, r)
         psi = _digamma_shift(n, r) if moments else None
-        const = (self.log_fact_i
-                 + _log_terms_pair(self.i, self.j, b, q, c, r))[self.piece_pair]
+        log_w = log_t - self.log_fact[:n.size]  # for the blocks past the kept ones
         sums = []
-        for p0, p1 in self.blocks:
-            lens = self.piece_len[p0:p1]
-            start = np.cumsum(lens) - lens
-            t = np.arange(start[-1] + lens[-1])
-            # the term at t of a piece starting at start has N = n0 + t - start
-            nn = np.repeat(self.piece_n0[p0:p1] - start, lens) + t
-            x = log_t[nn]
-            x -= lf[np.repeat(self.piece_m[p0:p1] + start, lens) - t]
-            x -= lf[np.repeat(self.piece_s[p0:p1] + start, lens) - t]
-            x += np.repeat(const[p0:p1], lens)
+        for k, (p0, p1) in enumerate(self.blocks):
+            if k < len(self.kept):
+                nn, w, start = self.kept[k]
+                x = log_t[nn]
+                x += w
+            else:
+                nn, x, start = self._block_terms(p0, p1, log_w)
             top = np.maximum.reduceat(x, start)
-            x -= np.repeat(top, lens)
+            x -= np.repeat(top, self.piece_len[p0:p1])
             np.maximum(x, _LOG_TINY, out=x)
             np.exp(x, out=x)
             block = [top, np.add.reduceat(x, start)]
@@ -361,11 +390,13 @@ class _BinomNBPairs:
                 block += [np.add.reduceat(x * nn, start), np.add.reduceat(x * psi[nn], start)]
             sums.append(block)
         top, total, *rest = (np.concatenate(parts) for parts in zip(*sums))
-        # each pair's pieces, rescaled to the pair's largest term
+        # each pair's pieces, rescaled to the pair's largest term, and the parts
+        # of log T_N that are the same for all of a pair's terms
         pair_top = np.maximum.reduceat(top, self.pair_first)
         scale = np.exp(top - pair_top[self.piece_pair])
         total = np.add.reduceat(total * scale, self.pair_first)
-        log_p = pair_top + np.log(total)
+        log_p = (pair_top + np.log(total)) + (self.log_fact_i
+                                               + _log_terms_pair(self.i, self.j, b, q, c, r))
         if not moments:
             return log_p
         return (log_p, *(np.add.reduceat(part * scale, self.pair_first) / total
@@ -402,7 +433,7 @@ def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> 
     u0 = 1.0 - b
     i = np.asarray(rows, dtype=float)
     logp = np.empty((j_max + 1, i.size))
-    logp[0] = r * math.log(q) + i * math.log1p(-b)
+    logp[0] = -r * math.log1p(c / q) + i * math.log1p(-b)
     if j_max:
         # (j + 1) u0 p_{j+1} = (i b q + c r u0 + d j) p_j + c (b - c) (r + j - 1) p_{j-1};
         # i b q is i (b - c + c u0) written without cancellation

@@ -272,13 +272,20 @@ def _pairs(x: np.ndarray) -> tuple[_BinomNBPairs, np.ndarray]:
     MAX_PAIR_TERMS before anything of that size is built."""
     if x.size < 2:
         raise ParameterError("need at least 2 observations")
-    pairs, counts = np.unique(np.column_stack([x[:-1], x[1:]]), axis=0, return_counts=True)
-    work = int(np.minimum(pairs[:, 0], pairs[:, 1]).sum(dtype=float)) + len(pairs)
+    # sorted by origin, then destination: each run of equal pairs is one transition
+    order = np.lexsort((x[1:], x[:-1]))
+    i, j = x[:-1][order], x[1:][order]
+    new = np.empty(i.size, dtype=bool)
+    new[0] = True
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    first = np.flatnonzero(new)
+    i, j, counts = i[first], j[first], np.diff(first, append=i.size)
+    work = int(np.minimum(i, j).sum(dtype=float)) + first.size
     if work > MAX_PAIR_TERMS:
         raise ParameterError(f"the likelihood needs {work} mixture terms, sum of "
                              f"min(i, j) + 1 over the distinct transitions (i, j), "
                              f"above the budget of {MAX_PAIR_TERMS}")
-    return _BinomNBPairs(pairs[:, 0], pairs[:, 1]), counts.astype(float)
+    return _BinomNBPairs(i, j), counts.astype(float)
 
 
 def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: bool):
@@ -368,11 +375,16 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     if init is None:
         init = _auto_init(series)
     n_eval = n_iter = 0
+    # (value, n_nonfinite) at every point evaluated: the value is the same with
+    # or without the score
+    seen = {}
 
     def evaluate(t, score=True):
         nonlocal n_eval
         n_eval += 1
-        return _evaluate(pairs, counts, _box_params(t), score)
+        value, grad, n_nonfinite = _evaluate(pairs, counts, _box_params(t), score)
+        seen[t.tobytes()] = value, n_nonfinite
+        return value, grad, n_nonfinite
 
     def objective(t):
         value, grad, _ = evaluate(t)
@@ -403,7 +415,9 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
         if best is None or best[0] < -res.fun:
             break
         res = fit(best[2])
-    value, _, n_nonfinite = evaluate(res.x, score=False)
+    if res.x.tobytes() not in seen:
+        evaluate(res.x, score=False)
+    value, n_nonfinite = seen[res.x.tobytes()]
     converged, message = bool(res.success), str(res.message)
     # Near the optimum the likelihood's rounding (some 1e-15 of it) can stall
     # the line search: that stop counts when the fit's own quasi-Newton model

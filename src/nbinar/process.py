@@ -51,8 +51,8 @@ MAX_STATE = 5000  # largest state of a dense table: (MAX_STATE + 1)^2 doubles, 2
 # most cells one ``transition_rows`` call may fill, so a table at MAX_STATE fits
 MAX_CELLS = (MAX_STATE + 1) ** 2
 # most terms a likelihood may sum, sum of min(i, j) + 1 over its distinct
-# transitions (i, j): about 0.3 s an evaluation, and a log-factorial table of
-# at most twice as many doubles, 270 MB
+# transitions (i, j): about 0.15 s an evaluation, and a log-factorial table of
+# at most twice as many doubles, 270 MB, next to the 8.4 MB of kept terms
 MAX_PAIR_TERMS = 1 << 24
 
 

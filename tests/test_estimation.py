@@ -1,11 +1,12 @@
 """Tests for moment estimators, likelihood, and asymptotic covariances."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nbinar import (
     DegenerateSeriesError,
@@ -23,7 +24,7 @@ from nbinar import (
     transition_prob,
     yw_means,
 )
-from nbinar import distributions
+from nbinar import distributions, estimation
 from nbinar.estimation import _evaluate, _pairs
 
 from conftest import WIDE_TRIPLES, models, mp_g_moments, mp_nb_moments, mp_relative_error
@@ -305,16 +306,53 @@ def test_loglik_far_transition_matches_mpmath():
 
 def test_loglik_and_score_are_the_same_summed_in_blocks_and_pieces(monkeypatch):
     # with blocks of 4 terms, several pairs share a block and long pairs are
-    # split into pieces, which are merged again per pair
+    # split into pieces, which are merged again per pair; with a budget of 20
+    # kept terms, the first blocks are built once and the rest at each evaluation
     series = Series(np.array([0, 7, 3, 12, 12, 5, 30, 0, 2, 9, 40, 38]))
     p = ModelParams(0.7, 4.0, 2.5)
     want = _evaluate(*_pairs(series.values), p, True)
     monkeypatch.setattr(distributions, "PAIR_BLOCK", 4)
-    pairs, counts = _pairs(series.values)
-    assert len(pairs.blocks) > 3 and pairs.piece_pair.size > counts.size
-    got = _evaluate(pairs, counts, p, True)
-    assert_allclose(got[0], want[0], rtol=1e-14)
-    assert_allclose(got[1], want[1], rtol=1e-12)
+    for kept in (distributions.PAIR_TERMS_KEPT, 20):
+        monkeypatch.setattr(distributions, "PAIR_TERMS_KEPT", kept)
+        pairs, counts = _pairs(series.values)
+        assert len(pairs.blocks) > 3 and pairs.piece_pair.size > counts.size
+        assert 0 < len(pairs.kept) <= len(pairs.blocks)
+        assert (len(pairs.kept) < len(pairs.blocks)) == (kept == 20)
+        for _ in range(2):  # the kept blocks serve every evaluation
+            got = _evaluate(pairs, counts, p, True)
+            assert_allclose(got[0], want[0], rtol=1e-14)
+            assert_allclose(got[1], want[1], rtol=1e-12)
+
+
+def test_loglik_memory_stays_within_the_kept_terms_budget():
+    # 5.6e6 mixture terms: keeping each one's N and log-factorials would take
+    # 89 MB; the kept 2^19 take 8.4 MB, and the blocks formed at each
+    # evaluation about 2 MB
+    p = ModelParams(0.9, 3e3, 5.0)
+    series = simulate(p, 2000, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        value = loglik(series, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 12e6
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(7).integers(0, 6, size=400),
+    np.array([3, 5]),
+    # counts near 4e9, where an int64 pair code i (max j + 1) + j would wrap
+    np.array([4_000_000_003, 0, 4_000_000_001, 2, 4_000_000_003, 0, 1, 4_000_000_001, 2]),
+], ids=["random", "length-2", "near-4e9"])
+def test_pairs_are_numpy_uniques_distinct_transitions(x):
+    pairs, counts = _pairs(Series(x).values)
+    want, want_counts = np.unique(np.column_stack([x[:-1], x[1:]]), axis=0,
+                                  return_counts=True)
+    assert_array_equal(pairs.i, want[:, 0])
+    assert_array_equal(pairs.j, want[:, 1])
+    assert_array_equal(counts, want_counts)
 
 
 @pytest.mark.parametrize("triple", [(0.5, 2.0, 1.0), (0.9, 50.0, 0.5), (0.95, 10.0, 5.0)])
@@ -342,6 +380,28 @@ def test_cml_fit_cannot_worsen_truth_start():
     fit = cml_fit(series, init=P_HAND)
     assert fit.loglik >= loglik(series, P_HAND) - 1e-6
     assert fit.converged
+
+
+@pytest.mark.parametrize("series", [
+    simulate(P_HAND, 500, np.random.default_rng(300)),
+    simulate(P_HAND, 2000, np.random.default_rng(818)),
+    Series(np.array([1, 2] * 15)),
+    Series(np.array([3] * 50)),
+], ids=["seed-300", "seed-818", "box-edge", "constant"])
+def test_cml_fit_reports_a_value_it_computed_and_counts_what_it_computed(monkeypatch, series):
+    calls = []
+
+    def counted(pairs, counts, p, score):
+        calls.append((p, score))
+        return _evaluate(pairs, counts, p, score)
+
+    monkeypatch.setattr(estimation, "_evaluate", counted)
+    fit = cml_fit(series)
+    assert fit.n_eval == len(calls)
+    # the search evaluated the estimate with its score, and the fit does not
+    # evaluate it again for its value, which is the same bit for bit
+    assert (fit.params, True) in calls and calls[-1] != (fit.params, False)
+    assert fit.loglik == loglik(series, fit.params)
 
 
 def test_cml_fit_smoke_recovery():
