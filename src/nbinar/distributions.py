@@ -7,7 +7,9 @@ mu > 0, with theta = mu / (mu + r) in (0, 1), pmf
 
 and variance mu * (mu / r + 1).  The transition law of the process, a
 binomial thinning plus an independent negative binomial count, is evaluated
-here as a positive mixture and by the recurrence of its pgf.
+here as a positive mixture at given pairs (``_BinomNBPairs``, ``_binom_nb_cell``)
+and in whole rows by the recurrence of its pgf, split at each row's turning
+point (``_binom_nb_rows``).
 """
 
 from __future__ import annotations
@@ -139,7 +141,11 @@ def nb_sample(params: NBParams, rng: np.random.Generator, size=None):
     """Draw from NB(r, mu) as a Poisson with Gamma(r, scale mu/r) mean; ``size``
     is None for one draw, or a count or a tuple of counts."""
     lam = rng.gamma(shape=params.r, scale=params.mu / params.r, size=_check_size(size))
-    return rng.poisson(lam)
+    try:
+        return rng.poisson(lam)
+    except ValueError as exc:  # a mean above about 9.2e18, or an infinite or NaN one
+        raise ParameterError(f"NB(r={params.r!r}, mu={params.mu!r}) is too wide to sample: "
+                             f"numpy's Poisson sampler refused the gamma mean ({exc})") from None
 
 
 def nb_central_moments(params: NBParams) -> tuple[float, float, float, float]:
@@ -189,29 +195,6 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if below(mid) else (mid, hi)
     return hi
-
-
-def _binom_nb_mixture(rows, cols, b: float, q: float, c: float, r: float) -> np.ndarray:
-    """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at rows x cols,
-    with NB(k; n, q) = Gamma(k + n) / (Gamma(n) k!) q^n c^k and c = 1 - q given
-    apart so it keeps its digits where q is near 1: a b-thinning of i plus an
-    independent NB(r, q) count.  Every term is positive, so one matrix product
-    is accurate everywhere.  N runs over 0..min(max row, max col): the terms
-    past either are 0.  ``_BinomNBPairs`` sums the same terms at given pairs,
-    and log Gamma(j + r) - log Gamma(N + r) and log q are formed as there, so
-    they keep their digits at large r."""
-    i = np.asarray(rows, dtype=float)[:, None]
-    j = np.asarray(cols, dtype=float)[None, :]
-    n = np.arange(min(i.max(), j.max()) + 1.0)
-    nn = n[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_m = log_gamma(i + 1.0) - log_gamma(n + 1.0) - log_gamma(i - n + 1.0) \
-            + n * math.log(b) + (i - n) * math.log1p(-b)
-        log_k = _log_gamma_shift(j, r) - _log_gamma_shift(nn, r) - log_gamma(j - nn + 1.0) \
-            - (nn + r) * math.log1p(c / q) + (j - nn) * math.log(c)
-    m = np.where(n <= i, np.exp(log_m), 0.0)
-    k = np.where(nn <= j, np.exp(log_k), 0.0)
-    return m @ k
 
 
 # Terms of ``_BinomNBPairs`` formed per numpy pass: a pass holds PAIR_BLOCK to
@@ -270,9 +253,11 @@ def _digamma_shift(x, r: float):
 
 def _log_terms_n(n, b: float, q: float, c: float, r: float):
     """The parts of log T_N (``_BinomNBPairs``) that vary with N and the
-    parameters: N log(b q / ((1 - b) c)) - log Gamma(N + r)."""
+    parameters: N log(b q / ((1 - b) c)) - log Gamma(N + r).  At b = 0 only
+    N = 0 may be given."""
     log_q = -math.log1p(c / q)  # keeps its digits where q is near 1
-    return n * (math.log(b) - math.log1p(-b) + log_q - math.log(c)) - _log_gamma_shift(n, r)
+    slope = math.log(b) - math.log1p(-b) + log_q - math.log(c) if b > 0.0 else 0.0
+    return n * slope - _log_gamma_shift(n, r)
 
 
 def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
@@ -283,8 +268,9 @@ def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
 
 
 class _BinomNBPairs:
-    """``_binom_nb_mixture`` at given (i, j) pairs: log P(j | i) of each pair,
-    and on request the posterior means of N and of psi(N + r), in log space.
+    """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q), a b-thinning of i
+    plus an independent NB(r, q) count, at given (i, j) pairs: log P(j | i) of
+    each pair, and on request the posterior means of N and of psi(N + r).
 
     The term of survivor count N <= m = min(i, j), with s = max(i, j), is
         log T_N = log i! - log N! - log (m - N)! - log (s - N)!
@@ -404,10 +390,12 @@ class _BinomNBPairs:
 
 
 def _binom_nb_cell(i: int, j: int, b: float, q: float, c: float, r: float) -> float:
-    """P(j | i) of ``_binom_nb_mixture`` at one pair: the terms of
-    ``_BinomNBPairs`` with their log-factorials formed directly, O(min(i, j))."""
+    """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at one pair: the
+    terms of ``_BinomNBPairs`` with their log-factorials formed directly,
+    O(min(i, j)).  At b = 0 (alpha^h underflowed) no count survives the
+    thinning, and only the N = 0 term is left."""
     m, s = min(i, j), max(i, j)
-    n = np.arange(m + 1.0)
+    n = np.arange((m if b > 0.0 else 0) + 1.0)
     x = _log_terms_n(n, b, q, c, r) - log_gamma(n + 1.0) - log_gamma(m - n + 1.0) \
         - log_gamma(s - n + 1.0)
     top = x.max()
@@ -415,39 +403,88 @@ def _binom_nb_cell(i: int, j: int, b: float, q: float, c: float, r: float) -> fl
                     + math.log(np.exp(np.maximum(x - top, _LOG_TINY)).sum()))
 
 
+# A row runs backward above its turning point where its forward run would amplify
+# rounding by more than exp(_FORWARD_GROWTH) by j_max, from a start whose error
+# shrinks by exp(-_BACKWARD_DECAY) by j_max (``_root_gap``).  Near d = 0 the gap
+# is small: a start fixed at 2 j_max + 2 left cells off by up to 4.8e3 there,
+# where forward runs stay within 2e-11 of the pair sums at j_max = 3000.
+_FORWARD_GROWTH = 2.0
+_BACKWARD_DECAY = 40.0
+
+
+def _root_gap(k, turn, lam: float, r: float):
+    """The log ratio of the local roots of the row recurrence at steps k > turn
+    of the row with turning point ``turn``, lam = log((b - c) / (c (1 - b))): by
+    this much the unwanted solution outgrows the wanted one, and a backward
+    run's error shrinks, at k.  2 asinh(sinh(lam / 2) (k - turn) / sqrt((k + 1)(r + k - 1)))."""
+    return 2.0 * np.arcsinh(math.sinh(lam / 2.0) * (k - turn)
+                            / (np.sqrt(k + 1.0) * np.sqrt(r + k - 1.0)))
+
+
 def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> np.ndarray:
-    """``_binom_nb_mixture`` at j = 0..j_max, the coefficients of the pgf
+    """P(j | i) at j = 0..j_max, the coefficients of the pgf
     q^r u(s)^i v(s)^-(i+r) with u = (1 - b) + (b - c) s, v = 1 - c s, c = 1 - q.
 
-    As u v P' = [i (b - c) v + c (i + r) u] P, each row obeys a three-term
-    recurrence in j whose wanted solution grows like c^j and whose other one
-    like ((b - c) / (1 - b))^j.  Run forward it is stable exactly when
-    d = 2c - b(1 + c) > 0 (Gautschi 1967); there the ratios p_{j+1} / p_j
-    of all rows are carried at once and summed in logs from the exact
-    log p_0, so a p_0 that underflows does not zero its row.  Elsewhere the
-    positive mixture is used.  Every row needs i + r > 0.
+    As u v P' = [i (b - c) v + c (i + r) u] P, each row obeys the recurrence
+    (j + 1)(1 - b) p_{j+1} = (A_i + d j) p_j + c (b - c)(r + j - 1) p_{j-1}, with
+    A_i = i b q + c r (1 - b) and d = 2c - b(1 + c).  Its wanted solution
+    dominates the other one below the turning point j* = A_i / (-d) and is the
+    recessive one above it (Gautschi 1967, Olver 1967); where d >= 0, j* is
+    infinite.  So the ratios p_{j+1} / p_j are run forward from p_1 / p_0 below
+    j* and backward from 0 above it, unless the forward run grows little past
+    j* (``_FORWARD_GROWTH``): every term in both runs is positive.  The ratios
+    of all rows are carried at once and summed in logs from the exact log p_0,
+    so a p_0 that underflows does not zero its row.  O(rows (j_max + 1))
+    memory.  Every row needs i + r > 0.
     """
     d = 2.0 * c - b * (1.0 + c)
-    if d <= 0.0:
-        return _binom_nb_mixture(rows, np.arange(j_max + 1), b, q, c, r)
     u0 = 1.0 - b
     i = np.asarray(rows, dtype=float)
+    a = i * (b * q) + c * r * u0  # A_i, i b q being i (b - c + c u0) without cancellation
     logp = np.empty((j_max + 1, i.size))
     logp[0] = -r * math.log1p(c / q) + i * math.log1p(-b)
     if j_max:
-        # (j + 1) u0 p_{j+1} = (i b q + c r u0 + d j) p_j + c (b - c) (r + j - 1) p_{j-1};
-        # i b q is i (b - c + c u0) written without cancellation
+        # ratios at j < split run forward, the others backward from 0 at start + 1;
+        # splitting at j* + 1/2 keeps A_i + d j, 0 at j*, at least |d| / 2 in both
+        split, start = np.full(i.size, float(j_max)), j_max
+        if d < 0.0:
+            turn = np.minimum(a, -d * j_max) / -d  # j*, at most j_max
+            lam = math.log(b - c) - math.log(c) - math.log1p(-b)
+            # forward growth past j*, taken as (j_max - j*) gaps at j_max: from k = 2
+            # on the gap falls at most 15% below an earlier value; at k = 1 (row 0,
+            # small r) it overstates the growth, which is at most lam there
+            back = (j_max - turn) * _root_gap(j_max, turn, lam, r) > _FORWARD_GROWTH
+            split[back] = np.floor(turn[back] + 0.5)
+            decay, slowest = 0.0, turn[back].max(initial=0.0)
+            while back.any() and decay < _BACKWARD_DECAY:
+                start += 1
+                decay += _root_gap(start, slowest, lam, r)
+        lo, top = int(split.min()), split.max()
+        # forward: (j + 1) u0 p_{j+1} / p_j = A_i + d j + c (b - c)(r + j - 1) p_{j-1} / p_j
         j = np.arange(j_max, dtype=float)
         inv = 1.0 / (u0 * (j + 1.0))
         tail = (c * (b - c) * (r + j - 1.0) * inv).tolist()
         rho = logp[1:]  # the p_j terms over (j + 1) u0, then p_{j+1} / p_j
         rho[:] = (d * j)[:, None]
-        rho += i * (b * q) + c * r * u0
+        rho += a
         rho *= inv[:, None]
-        step = np.empty(i.size)
-        for k in range(1, j_max):
-            np.divide(tail[k], rho[k - 1], out=step)
-            rho[k] += step
-        np.log(rho, out=rho)
+        step, mask = np.empty(i.size), np.empty(i.size, dtype=bool)
+        for k in range(1, int(top)):
+            ahead = True if k < lo else np.greater(split, k, out=mask)
+            np.divide(tail[k], rho[k - 1], out=step, where=ahead)
+            np.add(rho[k], step, out=rho[k], where=ahead)
+        # backward: p_k / p_{k-1} = c (b - c)(r + k - 1) / v_k, with
+        # v_k = (k + 1) u0 p_{k+1} / p_k - A_i - d k > 0 above j*
+        v = -(a + d * start)
+        for k in range(start, lo, -1):
+            behind = True if top < min(k, j_max) else np.less(split, min(k, j_max), out=mask)
+            e = c * (b - c) * (r + (k - 1))
+            if k <= j_max:
+                np.divide(e, v, out=rho[k - 1], where=behind)
+            np.divide(k * u0 * e, v, out=v, where=behind)
+            np.subtract(v, d * (k - 1), out=v, where=behind)
+            np.subtract(v, a, out=v, where=behind)
+        with np.errstate(divide="ignore"):  # a ratio that underflows to 0 zeroes the cells past it
+            np.log(rho, out=rho)
     np.cumsum(logp, axis=0, out=logp)
     return np.exp(logp, out=logp).T

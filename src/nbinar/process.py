@@ -214,8 +214,10 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     """Transition probabilities for each origin state in ``rows``, vectorized.
 
     Row t holds P(X_{t+h} = j | X_t = rows[t]) for j = 0..j_max, from the
-    recurrence of the conditional pgf where it is stable (``_binom_nb_rows``).
-    At most MAX_CELLS cells, len(rows) * (j_max + 1), are computed; more raise
+    three-term recurrence of the conditional pgf, run forward below each row's
+    turning point and backward above it (``_binom_nb_rows``), in time and
+    memory O(len(rows) * (j_max + 1)).  At most MAX_CELLS cells,
+    len(rows) * (j_max + 1), are computed; more raise
     ``ParameterError`` before anything is allocated.
     """
     j_max = _check_count(j_max, "j_max")

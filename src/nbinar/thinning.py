@@ -197,15 +197,15 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     sum_{N=1..min(k,x)} Binom(N; x, beta_h) NB(k - N; N, q_tilde_h), and
     (1 - beta_h)^x at k = 0: the transition kernel at r = 0, fed the same
     (beta_h, q_tilde_h, qbar_h) of ``h_fold``.  At r = 0 the kernel's N = 0
-    term is log 0, so k = 0, where it is the only nonzero one, and x = 0,
-    where it is the only one, are taken apart.
+    term is log 0, so k = 0, where it is the only nonzero one, and x = 0 or
+    beta_h = 0 (alpha^h underflowed), where it is the only one, are taken apart.
     """
     x = _check_count(x, "x")
     k = _check_count(k, "k")
     hp = h_fold(p, h)
     if k == 0:
         return math.exp(x * math.log1p(-hp.beta_h))
-    if x == 0:
+    if x == 0 or hp.beta_h == 0.0:
         return 0.0
     return _binom_nb_cell(x, k, hp.beta_h, hp.q_tilde_h, hp.qbar_h, 0.0)
 

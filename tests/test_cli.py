@@ -58,6 +58,13 @@ def test_transition_rejects_bad_params(capsys):
     assert main(["transition", *BASE, "--i", "0", "--j", "0", "--h", "0"]) == 2
 
 
+def test_transition_where_alpha_h_underflows(capsys):
+    # 0.5^1100 underflows to 0; the cell is then the innovation law's, 2/9
+    code, out = run(capsys, ["transition", *BASE, "--i", "1", "--j", "1", "--h", "1100"])
+    assert code == 0
+    assert out.strip() == "0.222222222222222"
+
+
 def test_transition_table_csv(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, _ = run(capsys, ["transition", *BASE, "--table", "40",
@@ -117,6 +124,15 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     dest = tmp_path / "x.txt"
     assert main(["simulate", *BASE, "--n", "50", "--seed", "-1", "--out", str(dest)]) == 2
     assert "seed" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_simulate_too_wide_to_sample_exits_2(tmp_path, capsys):
+    dest = tmp_path / "a.txt"
+    code = main(["simulate", "--alpha", "0.5", "--mu", "1e300", "--r", "1",
+                 "--n", "10", "--seed", "1", "--out", str(dest)])
+    assert code == 2
+    assert "Poisson sampler refused" in capsys.readouterr().err
     assert not dest.exists()
 
 

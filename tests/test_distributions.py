@@ -186,6 +186,14 @@ def test_nb_sample_tiny_mean_degenerates_to_zero():
     assert np.all(draws == 0)
 
 
+@pytest.mark.parametrize("r, mu, size", [(1.0, 1e300, None), (1.0, 1e19, 3),
+                                         (1e-300, 1e300, None)])
+def test_nb_sample_refused_gamma_mean_raises_parameter_error(r, mu, size):
+    # numpy's Poisson sampler refuses a mean above about 9.2e18, and an infinite one
+    with pytest.raises(ParameterError, match="Poisson sampler refused"):
+        nb_sample(NBParams(r, mu), np.random.default_rng(1), size=size)
+
+
 def test_nb_sample_scalar_mode():
     rng = np.random.default_rng(11)
     value = nb_sample(NBParams(1.0, 2.0), rng)

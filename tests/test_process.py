@@ -261,7 +261,8 @@ def test_transition_rows_match_scalar():
 
 
 def branch_margin(p, h=1):
-    """2c - b(1 + c): the kernel runs its recurrence forward where this is > 0."""
+    """d = 2c - b(1 + c): where d >= 0 the kernel runs every row forward; where
+    d < 0 it runs a row backward above its turning point A_i / (-d)."""
     hp = h_fold(p, h)
     b, c = hp.alpha_h * hp.q_tilde_h, hp.qbar_h
     return 2.0 * c - b * (1.0 + c)
@@ -294,12 +295,14 @@ def wide_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=wide_cases())
 @example(case=(ModelParams(0.9, 50.0, 0.5), 1, [0, 7, 30], 30))  # forward
-@example(case=(ModelParams(0.95, 10.0, 5.0), 1, [0, 7, 30], 30))  # mixture
+@example(case=(ModelParams(0.95, 10.0, 5.0), 1, [0, 7, 30], 30))  # split
 @example(case=(ModelParams(0.5, 1.0, boundary_r(0.5, 1.0)), 1, [0, 7, 30], 30))  # boundary
 @example(case=(ModelParams(0.75, 1e-3, 1e4), 1, [0], 1))  # 1 - q_tilde = 2.5e-8
+@example(case=(ModelParams(0.99, 1e-3, 1e3), 1, [9, 18, 30], 30))  # A_i + d j cancels at j*
 def test_transition_rows_match_oracle_wide_domain(case):
     p, h, rows, j_max = case
-    event("forward recurrence" if branch_margin(p, h) > 0.0 else "positive mixture")
+    event("d >= 0: every row forward" if branch_margin(p, h) >= 0.0
+          else "d < 0: rows split at their turning points")
     got = transition_rows(p, rows, j_max, h)
     # the likelihood's per-pair sum is within 1e-12 of each cell the row kernel
     # holds as a normal double; where the kernel is further off (it loses digits
@@ -325,7 +328,8 @@ def test_transition_rows_match_oracle_wide_domain(case):
 
 def test_transition_rows_where_forward_recurrence_diverges():
     # the recurrence run forward at these triples is dominated by its
-    # spurious solution; the kernel must use the positive mixture there
+    # spurious solution above each row's turning point; the kernel runs those
+    # ratios backward
     for triple in [(0.95, 10.0, 5.0), (0.99, 2.0, 1.0)]:
         p = ModelParams(*triple)
         assert branch_margin(p) < 0.0
@@ -333,6 +337,61 @@ def test_transition_rows_where_forward_recurrence_diverges():
         for a, i in enumerate([0, 3, 10, 25]):
             assert_allclose(got[a], transition_row_oracle(p, i, 60),
                             rtol=1e-11, atol=1e-300)
+
+
+def assert_rows_match_pair_sums(p, rows, j_max, rtol=5e-11):
+    """Every cell of ``transition_rows`` that is a normal double is within rtol
+    of the likelihood's per-pair sum; the others are below 1e-300 there too."""
+    got = transition_rows(p, rows, j_max)
+    hp = h_fold(p, 1)
+    i, j = np.meshgrid(rows, np.arange(j_max + 1), indexing="ij")
+    want = np.exp(_BinomNBPairs(i.ravel(), j.ravel()).log_prob(
+        hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)).reshape(got.shape)
+    normal = got >= np.finfo(float).tiny
+    assert_allclose(got[normal], want[normal], rtol=rtol, atol=0.0)
+    assert (want[~normal] < 1e-300).all()
+
+
+# where d < 0 at these triples, the old kernel summed the positive mixture
+@pytest.mark.parametrize("triple", [(0.95, 10.0, 5.0), (0.99, 2.0, 1.0), (0.5, 2.0, 1e4),
+                                    (0.95, 200.0, 200.0), (0.8, 500.0, 1000.0),
+                                    (0.999, 1.0, 1.0), (0.6, 1.0, 100.0), (0.7, 2.0, 30.0)])
+def test_transition_rows_split_at_turning_points_match_pair_sums(triple):
+    p = ModelParams(*triple)
+    assert branch_margin(p) < 0.0
+    for j_max in (200, 700):
+        assert_rows_match_pair_sums(p, np.arange(0, j_max + 1, 50), j_max)
+
+
+@pytest.mark.parametrize("alpha, mu, shift, j_max", [
+    (0.5, 1.0, 1e-3, 2000), (0.9, 0.01, 1e-2, 3000),
+    # a backward run started at 2 j_max + 2 left these off by 0.28 and 3.8e-5
+    (0.9, 0.01, 1e-4, 3000), (0.9, 0.01, 1e-1, 100)])
+def test_transition_rows_just_past_the_boundary_match_pair_sums(alpha, mu, shift, j_max):
+    # just past d = 0 the local roots are close, so neither run gains much on
+    # the other; the rows whose turning point lies in [0, j_max] are checked
+    p = ModelParams(alpha, mu, boundary_r(alpha, mu) * (1.0 + shift))
+    d = branch_margin(p)
+    hp = h_fold(p, 1)
+    b, c = hp.beta_h, hp.qbar_h
+    turn = (np.arange(j_max + 1) * b * hp.q_tilde_h + c * p.r * (1.0 - b)) / -d
+    inside = np.flatnonzero(turn <= j_max)
+    assert d < 0.0 and inside.size
+    assert_rows_match_pair_sums(p, np.union1d(inside, [j_max // 2, j_max]), j_max)
+
+
+def test_cells_where_alpha_h_underflows():
+    # 0.5^1100 underflows: no count survives the thinning, and each cell is the
+    # innovation law's, in the scalar kernel as in the row kernel
+    assert h_fold(P_HAND, 1100).beta_h == 0.0
+    assert transition_prob(P_HAND, 1, 1, 1100) == transition_rows(P_HAND, [1], 1, 1100)[0, 1]
+    assert_allclose(transition_prob(P_HAND, 1, 1, 1100), 2.0 / 9.0, rtol=1e-15)
+    rows = transition_rows(P_HAND, [0, 3, 40], 8, 1100)
+    for a, i in enumerate([0, 3, 40]):
+        assert_allclose([transition_prob(P_HAND, i, j, 1100) for j in range(9)], rows[a],
+                        rtol=1e-14)
+    assert thin_conditional_pmf(P_HAND, 3, 2000, 1) == 0.0
+    assert thin_conditional_pmf(P_HAND, 3, 2000, 0) == 1.0
 
 
 def test_transition_row_with_underflowing_start_probability():
@@ -368,13 +427,12 @@ def test_transition_rows_peak_memory():
     assert branch_margin(p) > 0.0
     peak = peak_bytes(lambda: transition_rows(p, rows, j_max))
     assert peak <= 2 * rows.size * (j_max + 1) * 8
-    # mixture branch: the binomial weights (rows x N) and the NB kernel
-    # (N x (J + 1)) with its temporaries, N = max(rows) + 1
+    # rows split at their turning points: the same buffer, which the backward
+    # run fills in place
     p = ModelParams(0.95, 10.0, 5.0)
     assert branch_margin(p) < 0.0
-    n = int(rows.max()) + 1
     peak = peak_bytes(lambda: transition_rows(p, rows, j_max))
-    assert peak <= 4 * (rows.size * n + n * (j_max + 1)) * 8
+    assert peak <= 2 * rows.size * (j_max + 1) * 8
 
 
 def test_transition_rows_cell_budget():
