@@ -164,6 +164,10 @@ def nb_central_moments(params: NBParams) -> tuple[float, float, float, float]:
     return mu, v, m3, m4
 
 
+# counts are int64 (``_check_counts``): nb_support_bound searches below 2^63
+_COUNT_LIMIT = 1 << 63
+
+
 def nb_support_bound(params: NBParams, tol: float) -> int:
     """Smallest K with pmf(K) < tol (1 - max(theta, rho_K)), so P(X >= K) < tol.
 
@@ -190,6 +194,9 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
     lo, step = max(0, math.ceil(mu * (r - 1.0) / r - 1.0)) - 1, 1
     while not below(lo + step):
         lo, step = lo + step, 2 * step
+        if lo + step >= _COUNT_LIMIT:
+            raise ParameterError(f"NB(r={r!r}, mu={mu!r}) has more than tol = {tol!r} of its "
+                                 f"mass at or above 2^63, past the largest int64 count")
     hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -203,10 +210,10 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
 # 128 to 256 KB each, stay in cache: passes of 2^16 terms made one evaluation
 # of 5.6e6 terms about 1.6 times slower.
 PAIR_BLOCK = 1 << 14
-# Terms whose N and log-factorials ``_BinomNBPairs`` builds once and keeps for
-# every evaluation, 16 bytes a term (8.4 MB); the blocks past them are formed
-# again at each evaluation.
-PAIR_TERMS_KEPT = 1 << 19
+# Terms whose N (as an index and as a float) and log-factorials ``_BinomNBPairs``
+# builds once and keeps for every evaluation, 24 bytes a term: 2^23 bytes
+# (8.4 MB).  The blocks past them are formed again at each evaluation.
+PAIR_TERMS_KEPT = (1 << 23) // 24
 # exp of an argument below about -708 is subnormal or 0 and some 20 times slower
 # to form; a term that far below its pair's largest adds under 1e-304 of it.
 _LOG_TINY = -700.0
@@ -251,6 +258,36 @@ def _digamma_shift(x, r: float):
         + ((1.0 / 120.0 - w / 252.0) * w * w - (1.0 / 120.0 - v / 252.0) * v * v)
 
 
+def _trigamma(z):
+    """psi'(z) for z > 0, from the asymptotic series
+    psi'(y) = 1/y + 1/(2y^2) + 1/(6y^3) - 1/(30y^5) + 1/(42y^7) - 1/(30y^9) + 5/(66y^11),
+    whose first omitted term is below 1e-16 of it at y >= 20; below 20 by
+    psi'(z) = psi'(z + 20) + sum_{k < 20} 1/(z + k)^2, all terms positive.
+    (scipy's Hurwitz zeta(2, z) costs some 0.2 us a value, ten times this.)"""
+    z = np.asarray(z, dtype=float)
+    small = z < 20.0
+    y = np.where(small, z + 20.0, z)
+    w = 1.0 / (y * y)
+    out = (1.0 + (0.5 + (1.0 / 6.0 - (1.0 / 30.0 - (1.0 / 42.0 - (1.0 / 30.0 - 5.0 / 66.0 * w)
+                                                    * w) * w) * w) / y) / y) / y
+    if small.any():
+        out[small] += (1.0 / np.square(z[small, None] + np.arange(20.0))).sum(axis=1)
+    return out
+
+
+def _trigamma_shift(x, r: float):
+    """psi'(x + r), less a constant in r alone, for x >= 0: at large r,
+    psi'(x + r) - psi'(r) from the series of ``_trigamma``, with the first
+    three differences formed without cancelling."""
+    if r < _R_ASYMPTOTIC:
+        return _trigamma(x + r)
+    z = x + r
+    w, v, zr = 1.0 / (z * z), 1.0 / (r * r), z * r
+    return -x / zr - x * (z + r) * w * v / 2.0 - x * (z * z + zr + r * r) * w * v / (6.0 * zr) \
+        - ((1.0 / 30.0 - (1.0 / 42.0 - w / 30.0) * w) * w * w / z
+           - (1.0 / 30.0 - (1.0 / 42.0 - v / 30.0) * v) * v * v / r)
+
+
 def _log_terms_n(n, b: float, q: float, c: float, r: float):
     """The parts of log T_N (``_BinomNBPairs``) that vary with N and the
     parameters: N log(b q / ((1 - b) c)) - log Gamma(N + r).  At b = 0 only
@@ -270,7 +307,8 @@ def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
 class _BinomNBPairs:
     """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q), a b-thinning of i
     plus an independent NB(r, q) count, at given (i, j) pairs: log P(j | i) of
-    each pair, and on request the posterior means of N and of psi(N + r).
+    each pair, and on request the posterior moments of N and psi(N + r) that
+    its score and Hessian need.
 
     The term of survivor count N <= m = min(i, j), with s = max(i, j), is
         log T_N = log i! - log N! - log (m - N)! - log (s - N)!
@@ -280,9 +318,12 @@ class _BinomNBPairs:
     from one table built here, over [0, max m] and each pair's [s - m, s].
     log P is the log-sum-exp of the pair's terms, and the derivative of log P
     in any parameter is the mean of its terms' derivatives under the weights
-    T_N / P (Fisher's identity), which needs only E[N] and E[psi(N + r)].
-    log Gamma and psi are taken less a constant in r (``_log_gamma_shift``,
-    ``_digamma_shift``), which cancels from every difference.
+    T_N / P (Fisher's identity), which needs only E[N] and E[psi(N + r)].  Its
+    second derivatives are the posterior mean of the terms' second derivatives
+    plus the posterior covariance of their first ones (Louis 1982), which need
+    E[psi'(N + r)] and the variances and covariance of N and psi(N + r).
+    log Gamma, psi and psi' are taken less a constant in r (``_log_gamma_shift``,
+    ``_digamma_shift``, ``_trigamma_shift``), which cancels from every difference.
     The terms are formed about PAIR_BLOCK at a time, a longer pair in pieces,
     so memory follows the block and the number of pairs.  Each term's N and
     its log-factorials are built here once for the first PAIR_TERMS_KEPT
@@ -315,6 +356,9 @@ class _BinomNBPairs:
         s_at = run_at[run[:-1]] + s - run_lo[run[:-1]]
         self.log_fact_i = np.where(i == s, self.log_fact[s_at], self.log_fact[m])
         self.i, self.j, self.n_max = i.astype(float), j.astype(float), int(m.max())
+        # the distinct destinations, at which psi(j + r) and psi'(j + r) are formed
+        j_values, self.j_index = np.unique(j, return_inverse=True)
+        self.j_values = j_values.astype(float)
         # pieces of at most PAIR_BLOCK terms, each with its pair, its first N and
         # the table indices of (m - N)! and (s - N)! at that N
         count = -(-(m + 1) // PAIR_BLOCK)
@@ -333,8 +377,10 @@ class _BinomNBPairs:
         kept = np.searchsorted(ends[np.append(cuts, ends.size) - 1], PAIR_TERMS_KEPT,
                                side="right")
         minus_log_fact = -self.log_fact[:self.n_max + 1]
-        self.kept = [self._block_terms(p0, p1, minus_log_fact)
-                     for p0, p1 in self.blocks[:kept]]
+        self.kept = []
+        for p0, p1 in self.blocks[:kept]:
+            nn, x, start = self._block_terms(p0, p1, minus_log_fact)
+            self.kept.append((nn, nn.astype(float), x, start))
 
     def _block_terms(self, p0: int, p1: int, log_w):
         """Of the terms of pieces p0..p1: each term's N, log_w[N] - log (m - N)!
@@ -353,40 +399,83 @@ class _BinomNBPairs:
         return nn, x, start
 
     def log_prob(self, b: float, q: float, c: float, r: float, moments: bool = False):
-        """log P(j | i) of each pair; with ``moments``, also E[N] and
-        E[psi(N + r)] under each pair's posterior over N."""
+        """log P(j | i) of each pair; with ``moments``, also E[N], E[psi(N + r)],
+        Var(N), Cov(N, psi(N + r)), Var(psi(N + r)) and E[psi'(N + r)] under
+        each pair's posterior over N."""
         n = np.arange(self.n_max + 1.0)
         log_t = _log_terms_n(n, b, q, c, r)
-        psi = _digamma_shift(n, r) if moments else None
+        if moments:
+            psi, psi1 = _digamma_shift(n, r), _trigamma_shift(n, r)
         log_w = log_t - self.log_fact[:n.size]  # for the blocks past the kept ones
         sums = []
         for k, (p0, p1) in enumerate(self.blocks):
             if k < len(self.kept):
-                nn, w, start = self.kept[k]
+                nn, nf, w, start = self.kept[k]
                 x = log_t[nn]
                 x += w
             else:
                 nn, x, start = self._block_terms(p0, p1, log_w)
+                nf = nn.astype(float) if moments else None
+            lens = self.piece_len[p0:p1]
             top = np.maximum.reduceat(x, start)
-            x -= np.repeat(top, self.piece_len[p0:p1])
+            x -= np.repeat(top, lens)
             np.maximum(x, _LOG_TINY, out=x)
             np.exp(x, out=x)
-            block = [top, np.add.reduceat(x, start)]
+            total = np.add.reduceat(x, start)
+            block = [top, total]
             if moments:
-                block += [np.add.reduceat(x * nn, start), np.add.reduceat(x * psi[nn], start)]
+                block += self._piece_moments(x, start, lens, total, nf, psi[nn], psi1[nn])
             sums.append(block)
         top, total, *rest = (np.concatenate(parts) for parts in zip(*sums))
         # each pair's pieces, rescaled to the pair's largest term, and the parts
         # of log T_N that are the same for all of a pair's terms
         pair_top = np.maximum.reduceat(top, self.pair_first)
         scale = np.exp(top - pair_top[self.piece_pair])
-        total = np.add.reduceat(total * scale, self.pair_first)
-        log_p = (pair_top + np.log(total)) + (self.log_fact_i
-                                               + _log_terms_pair(self.i, self.j, b, q, c, r))
+        pair_total = np.add.reduceat(total * scale, self.pair_first)
+        log_p = (pair_top + np.log(pair_total)) + (self.log_fact_i
+                                                    + _log_terms_pair(self.i, self.j, b, q, c, r))
         if not moments:
             return log_p
-        return (log_p, *(np.add.reduceat(part * scale, self.pair_first) / total
-                         for part in rest))
+        # a pair's moments from its pieces': the pieces' sums of squares about
+        # their own means, and the spread of those means about the pair's
+        mean_n, mean_psi, ss_n, ss_n_psi, ss_psi, sum_psi1 = rest
+        share = scale / pair_total[self.piece_pair]
+        weight = share * total
+
+        def pair_sum(v):
+            return np.add.reduceat(v, self.pair_first)
+
+        pair_mean_n, pair_mean_psi = pair_sum(weight * mean_n), pair_sum(weight * mean_psi)
+        off_n = mean_n - pair_mean_n[self.piece_pair]
+        off_psi = mean_psi - pair_mean_psi[self.piece_pair]
+        return (log_p, pair_mean_n, pair_mean_psi,
+                pair_sum(share * ss_n + weight * off_n * off_n),
+                pair_sum(share * ss_n_psi + weight * off_n * off_psi),
+                pair_sum(share * ss_psi + weight * off_psi * off_psi),
+                pair_sum(share * sum_psi1))
+
+    @staticmethod
+    def _piece_moments(x, start, lens, total, nf, psi, psi1):
+        """Of each piece with weights x over its terms' N, psi(N + r) and
+        psi'(N + r): the means of N and psi, their sums of squares and products
+        about those means, which do not cancel where N is in the hundreds and
+        its posterior narrow, and the sum of psi'.  Overwrites psi and psi1."""
+        buf = x * nf
+        mean_n = np.add.reduceat(buf, start) / total
+        np.multiply(x, psi, out=buf)
+        mean_psi = np.add.reduceat(buf, start) / total
+        dn = nf - np.repeat(mean_n, lens)
+        psi -= np.repeat(mean_psi, lens)
+        np.multiply(x, dn, out=buf)
+        dn *= buf
+        ss_n = np.add.reduceat(dn, start)
+        buf *= psi
+        ss_n_psi = np.add.reduceat(buf, start)
+        np.multiply(x, psi, out=buf)
+        buf *= psi
+        ss_psi = np.add.reduceat(buf, start)
+        psi1 *= x
+        return [mean_n, mean_psi, ss_n, ss_n_psi, ss_psi, np.add.reduceat(psi1, start)]
 
 
 def _binom_nb_cell(i: int, j: int, b: float, q: float, c: float, r: float) -> float:

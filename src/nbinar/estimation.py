@@ -3,12 +3,13 @@
 Conditional least squares for the mean pair (alpha, mu_eps), Yule-Walker
 moment matching, a second-stage least squares pass on squared residuals for
 (sigma_G^2, sigma_eps^2) with derived sigma^2 and r estimators, and
-conditional maximum likelihood by L-BFGS-B on the exact score.  Both least
-squares stages are one regression on (X_{t-1}, 1), and their predicted
-asymptotic covariance matrices are one sandwich; Yule-Walker shares the
-mean-pair matrix.  The likelihood and its score are evaluated only at the
-distinct observed transitions (``distributions._BinomNBPairs``); the
-likelihood fit has no predicted covariance.
+conditional maximum likelihood by Newton's method on the exact score and
+observed information.  Both least squares stages are one regression on
+(X_{t-1}, 1), and their predicted asymptotic covariance matrices are one
+sandwich; Yule-Walker shares the mean-pair matrix.  The likelihood, its score
+and its Hessian are evaluated only at the distinct observed transitions
+(``distributions._BinomNBPairs``); the likelihood fit has no predicted
+covariance.
 
 Sum-index convention: for a series of length m the first observation is the
 conditioning value X_0 and the regression sums run over the n = m - 1
@@ -22,13 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import (
     ParameterError,
     _BinomNBPairs,
     _check_real,
     _digamma_shift,
+    _trigamma_shift,
     nb_central_moments,
 )
 from .process import MAX_PAIR_TERMS, Series
@@ -110,7 +111,7 @@ class CovMatrices:
 @dataclass(frozen=True)
 class CmlFit:
     """Result of a conditional maximum likelihood fit.  ``n_iter`` counts the
-    optimizer's iterations and ``n_eval`` the likelihood evaluations;
+    Newton steps taken and ``n_eval`` the likelihood evaluations;
     ``n_underflow`` the transitions whose log-probability is not finite at
     the estimate."""
 
@@ -289,34 +290,62 @@ def _pairs(x: np.ndarray) -> tuple[_BinomNBPairs, np.ndarray]:
 
 
 def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: bool):
-    """The log-likelihood at p, the number of transitions whose log P is not
-    finite and, with ``score``, the gradient in (logit alpha, log mu, log r).
+    """The log-likelihood at p, with ``score`` its gradient and Hessian in
+    t = (logit alpha, log mu, log r) (else None, None), and the number of
+    transitions whose log P is not finite.
 
-    The one-step law has (b, q, c) = (alpha q, q, 1 - q) with
-    q = r / D, D = r + (1 - alpha) mu.  The kernel's posterior means of N and
-    psi(N + r) give d log P / d(b, q, c, r), with q and c taken apart:
-        E[N] / b - (i - E[N]) / (1 - b),  (E[N] + r) / q,  (j - E[N]) / c,
-        psi(j + r) - E[psi(N + r)] + log q,
-    and dq / d(alpha, mu, r) = (q mu, -q (1 - alpha), c) / D, dc = -dq,
-    db = alpha dq + (q, 0, 0) carry them to (alpha, mu, r).
+    With D = r + (1 - alpha) mu, q = r / D and c = (1 - alpha) mu / D, the
+    term of survivor count N of a transition (i, j) is, less data-only parts,
+        log T_N = N L + (i + j) log(1 - alpha) + i log(r + mu) + j log mu
+                  - (i + j) log D + r log q + log Gamma(j + r) - log Gamma(N + r),
+    L = log alpha - 2 log(1 - alpha) + 2 log r - log(r + mu) - log mu, linear
+    in N and psi(N + r) with the gradients dL and -r e_3 (e_3 the log r axis).
+    log P's gradient is the posterior mean of the terms' gradients (Fisher's
+    identity), and its Hessian the posterior mean of their Hessians plus the
+    posterior covariance of their gradients (Louis 1982):
+        Var(N) dL dL' - r Cov(N, psi) (dL e_3' + e_3 dL') + r^2 Var(psi) e_3 e_3'.
+    Summed over the transitions, these need only the sums of E[N], E[psi],
+    E[psi'] and the three posterior (co)variances, which the kernel forms
+    about each piece's own means.
     """
     hp = h_fold(p, 1)
-    b, q, c, r = hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r
+    q, c, r, alpha, mu = hp.q_tilde_h, hp.qbar_h, p.r, p.alpha, p.mu
     if not score:
-        log_p = pairs.log_prob(b, q, c, r)
+        log_p = pairs.log_prob(hp.beta_h, q, c, r)
     else:
-        log_p, mean_n, mean_psi = pairs.log_prob(b, q, c, r, moments=True)
+        log_p, *moments = pairs.log_prob(hp.beta_h, q, c, r, moments=True)
     value = float(counts @ log_p)
     n_nonfinite = int(counts[~np.isfinite(log_p)].sum())
     if not score:
-        return value, None, n_nonfinite
-    s_b = counts @ (mean_n / b - (pairs.i - mean_n) / (1.0 - b))
-    s_qc = counts @ ((mean_n + r) / q - (pairs.j - mean_n) / c)
-    s_r = counts @ (_digamma_shift(pairs.j, r) - mean_psi) - counts.sum() * math.log1p(c / q)
-    abar = 1.0 - p.alpha
-    dq = np.array([q * p.mu, -q * abar, c]) / (r + abar * p.mu)
-    grad = s_b * (p.alpha * dq + [q, 0.0, 0.0]) + s_qc * dq + [0.0, 0.0, s_r]
-    return value, grad * [p.alpha * abar, p.mu, r], n_nonfinite
+        return value, None, None, n_nonfinite
+    e_n, e_psi, var_n, cov_n_psi, var_psi, e_psi1 = (counts @ m for m in moments)
+    n, n_i, n_j = counts.sum(), counts @ pairs.i, counts @ pairs.j
+    # the sums of psi(j + r) - E[psi(N + r)] and of psi'(j + r) - E[psi'(N + r)]
+    psi_gap = counts @ _digamma_shift(pairs.j_values, r)[pairs.j_index] - e_psi
+    psi1_gap = counts @ _trigamma_shift(pairs.j_values, r)[pairs.j_index] - e_psi1
+    abar, rho, rho_r = 1.0 - alpha, mu / (r + mu), r / (r + mu)
+    log_q = -math.log1p(c / q)
+    d_l = np.array([1.0 + alpha, -1.0 - rho, 1.0 + rho])
+    d_log_q = np.array([alpha * c, -c, c])  # = e_3 - d log D
+    grad = (e_n * d_l + (n_i + n_j) * np.array([-alpha * q, -c, -q])
+            + [0.0, n_i * rho + n_j, n_i * rho_r] + n * r * d_log_q
+            + [0.0, 0.0, r * (n * log_q + psi_gap)])
+    # Hessians of log D, of L and log(r + mu) (both along the (log mu, log r) skew),
+    # and the posterior covariance of the terms' gradients
+    d_log_d = np.array([-alpha * c, c, q])
+    hess_log_d = np.array([[-(1.0 - 2.0 * alpha) * alpha * c, -alpha * c, 0.0],
+                           [-alpha * c, c, 0.0],
+                           [0.0, 0.0, q]]) - np.outer(d_log_d, d_log_d)
+    skew = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
+    d_psi = np.array([0.0, 0.0, -r])
+    hess = ((e_n - n_i) * rho * rho_r * skew - (n_i + n_j + n * r) * hess_log_d
+            + var_n * np.outer(d_l, d_l) + var_psi * np.outer(d_psi, d_psi)
+            + cov_n_psi * (np.outer(d_l, d_psi) + np.outer(d_psi, d_l)))
+    hess[0, 0] += alpha * abar * (e_n - n_i - n_j)
+    hess[2] += n * r * d_log_q
+    hess[:, 2] += n * r * d_log_q
+    hess[2, 2] += r * (n * log_q + psi_gap) + r * r * psi1_gap
+    return value, grad, hess, n_nonfinite
 
 
 def loglik(series: Series, p: ModelParams) -> float:
@@ -348,6 +377,14 @@ def _auto_init(series: Series) -> ModelParams:
 
 # bound on (logit alpha, log mu, log r) in the CML search
 _SEARCH_BOX = 30.0
+# Newton steps a CML search takes at most: the tests' and the benchmark's fits
+# take 2 to 5 where the optimum lies inside the box, and about 30 where the
+# likelihood rises to a face, as it flattens like exp(-|t|)
+_NEWTON_STEPS = 100
+# the search stops once the Newton decrement g' (-H)^-1 g, twice the gain its
+# quadratic model predicts, is at most this times |loglik|; the likelihood's
+# own rounding is some 1e-15 of it
+_DECREMENT_TOL = 2e-12
 
 
 def _box_params(t) -> ModelParams:
@@ -356,81 +393,128 @@ def _box_params(t) -> ModelParams:
                        r=math.exp(t[2]))
 
 
+def _damped_step(grad, neg_hess, lam: float, floor: float):
+    """The Levenberg step (-H + lam I)^-1 g, with lam raised from the one given,
+    to at least ``floor``, until -H + lam I is positive definite; returns
+    (step, lam)."""
+    while True:
+        damped = neg_hess + lam * np.eye(grad.size)
+        try:
+            np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:
+            lam = max(2.0 * lam, floor)
+            continue
+        return np.linalg.solve(damped, grad), lam
+
+
+def _newton(evaluate, t, point):
+    """Projected, damped Newton ascent on the log-likelihood in the box
+    |t| <= _SEARCH_BOX from t, where ``point`` = (value, grad, hess, _) was
+    evaluated.  A coordinate on a face of the box whose score points out of
+    it is held (Bertsekas 1982); the others take the Newton step, damped
+    (Levenberg) until -H is positive definite and until the likelihood rises.
+    Once a step has been taken, the search stops at the first point whose
+    Newton decrement g' (-H)^-1 g is at most _DECREMENT_TOL |loglik|.
+    Returns (t, point, steps, decrement), with decrement None where the
+    search stopped before that rule held."""
+    def finite(point):
+        return np.isfinite(point[1]).all() and np.isfinite(point[2]).all()
+
+    value, grad, hess, _ = point
+    if not finite(point):
+        return t, point, 0, None
+    for steps in range(_NEWTON_STEPS + 1):
+        free = ~((np.abs(t) >= _SEARCH_BOX) & (t * grad > 0.0))
+        g, neg_hess = grad[free], -hess[np.ix_(free, free)]
+        # the damping's scale: the curvature, or the slope where -H is 0
+        scale = max(np.abs(np.diag(neg_hess)).max(initial=0.0), np.abs(g).max(initial=0.0))
+        step, lam = _damped_step(g, neg_hess, 0.0, 1e-10 * scale)
+        decrement = float(g @ step) if lam == 0.0 else math.inf
+        done = decrement <= _DECREMENT_TOL * abs(value)
+        if (done and steps) or decrement == 0.0 or steps == _NEWTON_STEPS:
+            break
+        # damp the step until the likelihood rises; where a step too short to
+        # move t does not, or none does from a start that meets the rule, stop
+        while True:
+            trial = t.copy()
+            trial[free] = np.clip(t[free] + step, -_SEARCH_BOX, _SEARCH_BOX)
+            if np.array_equal(trial, t):
+                return t, point, steps, decrement if done else None
+            trial_point = evaluate(trial)
+            if trial_point[0] > value and finite(trial_point):
+                break
+            if done:
+                return t, point, steps, decrement
+            step, lam = _damped_step(g, neg_hess, max(10.0 * lam, 1e-3 * scale), 0.0)
+        t, point = trial, trial_point
+        value, grad, hess, _ = point
+    return t, point, steps, decrement if done else None
+
+
 def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
-    """Maximize the conditional log-likelihood by L-BFGS-B on its exact score
-    over (logit alpha, log mu, log r), bounded to the box |t| <= 30.
+    """Maximize the conditional log-likelihood by Newton's method on its exact
+    score and observed information over (logit alpha, log mu, log r),
+    bounded to the box |t| <= 30.
 
     The default start is the Yule-Walker alpha (clipped to (0.01, 0.99)) and
     mu, with r from the moment estimator clipped positive; degenerate series
-    fall back to (0.5, series mean, 1).  Convergence means L-BFGS-B met its
-    tolerance (relative change of the likelihood 1e-12, or projected score
-    1e-5) within 500 iterations, or stopped in its line search where its
-    quasi-Newton model predicts a gain below 1e-12 |loglik|, at a point
-    inside the box.  Where the
-    likelihood still rises towards the box edge in a coordinate, the fit moves
-    there, and an estimate on the edge is reported as not converged.
-    ``n_eval`` counts the likelihood evaluations.
+    fall back to (0.5, series mean, 1).  Each step is the Newton step on the
+    coordinates not held at a face of the box, damped (Levenberg) until the
+    Hessian's negative is positive definite and the likelihood rises.  The
+    fit converges where, after at least one step and within 100, it reaches a
+    point inside the box whose Newton decrement g' (-H)^-1 g is at most
+    2e-12 |loglik|: the quadratic model there leaves less than 1e-12 |loglik|
+    to gain.  Where the likelihood still rises towards the box edge in a
+    coordinate, the fit moves there, and an estimate on the edge is reported
+    as not converged.  ``n_eval`` counts the likelihood evaluations and
+    ``n_iter`` the Newton steps.
     """
     pairs, counts = _pairs(series.values)
     if init is None:
         init = _auto_init(series)
     n_eval = n_iter = 0
-    # (value, n_nonfinite) at every point evaluated: the value is the same with
-    # or without the score
-    seen = {}
 
     def evaluate(t, score=True):
         nonlocal n_eval
         n_eval += 1
-        value, grad, n_nonfinite = _evaluate(pairs, counts, _box_params(t), score)
-        seen[t.tobytes()] = value, n_nonfinite
-        return value, grad, n_nonfinite
-
-    def objective(t):
-        value, grad, _ = evaluate(t)
-        return -value, -grad
+        return _evaluate(pairs, counts, _box_params(t), score)
 
     def fit(t):
         nonlocal n_iter
-        res = minimize(objective, t, jac=True, method="L-BFGS-B",
-                       bounds=[(-_SEARCH_BOX, _SEARCH_BOX)] * 3,
-                       options={"ftol": 1e-12, "maxiter": 500})
-        n_iter += res.nit
-        return res
+        t, point, steps, decrement = _newton(evaluate, t, evaluate(t))
+        n_iter += steps
+        return t, point, decrement
 
-    res = fit(np.clip([math.log(init.alpha / (1.0 - init.alpha)), math.log(init.mu),
-                       math.log(init.r)], -_SEARCH_BOX, _SEARCH_BOX))
+    t, point, decrement = fit(np.clip([math.log(init.alpha / (1.0 - init.alpha)),
+                                       math.log(init.mu), math.log(init.r)],
+                                      -_SEARCH_BOX, _SEARCH_BOX))
     # Where the likelihood rises towards a face of the box (alpha -> 0 or 1,
     # r -> infinity, ...), its score in t fades like exp(-|t|) and the fit stops
     # short of the face: try each coordinate's face on the rising side, and fit
     # again from the best that is no lower.
     for _ in range(3):
         faces = []
-        for k in np.flatnonzero(res.jac):
-            face = res.x.copy()
-            face[k] = -math.copysign(_SEARCH_BOX, res.jac[k])
-            if face[k] != res.x[k]:
+        for k in np.flatnonzero(point[1]):
+            face = t.copy()
+            face[k] = math.copysign(_SEARCH_BOX, point[1][k])
+            if face[k] != t[k]:
                 faces.append((evaluate(face, score=False)[0], k, face))
         best = max(faces, default=None)
-        if best is None or best[0] < -res.fun:
+        if best is None or best[0] < point[0]:
             break
-        res = fit(best[2])
-    if res.x.tobytes() not in seen:
-        evaluate(res.x, score=False)
-    value, n_nonfinite = seen[res.x.tobytes()]
-    converged, message = bool(res.success), str(res.message)
-    # Near the optimum the likelihood's rounding (some 1e-15 of it) can stall
-    # the line search: that stop counts when the fit's own quasi-Newton model
-    # leaves less than ftol |loglik| to gain.
-    if res.status == 2 and res.jac @ res.hess_inv.matvec(res.jac) <= 2e-12 * abs(res.fun):
-        converged = True
-        message = (f"{message.rstrip(': ')}: the line search stalled where the "
-                   f"quasi-Newton model predicts a gain below 1e-12 |loglik|")
-    if np.any(np.abs(res.x) >= _SEARCH_BOX):
+        t, point, decrement = fit(best[2])
+    converged = decrement is not None
+    if converged:
+        message = (f"the Newton decrement {decrement:.3g} is at most "
+                   f"{_DECREMENT_TOL:g} |loglik|")
+    else:
+        message = (f"the Newton search stopped without meeting its rule, decrement "
+                   f"<= {_DECREMENT_TOL:g} |loglik|, within {_NEWTON_STEPS} steps")
+    if np.any(np.abs(t) >= _SEARCH_BOX):
         converged = False
         message = (f"the likelihood rises to the box edge at (logit alpha, log mu, "
-                   f"log r) = {res.x.tolist()}: the optimum lies outside the search "
+                   f"log r) = {t.tolist()}: the optimum lies outside the search "
                    f"box |t| <= {_SEARCH_BOX:g}")
-    return CmlFit(params=_box_params(res.x), loglik=value, n_iter=n_iter,
-                  n_eval=n_eval, converged=converged, n_underflow=n_nonfinite,
+    return CmlFit(params=_box_params(t), loglik=point[0], n_iter=n_iter,
+                  n_eval=n_eval, converged=converged, n_underflow=point[3],
                   message=message, init=init)

@@ -18,12 +18,14 @@ times stays in the family with parameters (beta_h, theta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
     NBParams,
+    ParameterError,
     _binom_nb_cell,
     _check_count,
     _check_real,
@@ -185,6 +187,9 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
     alpha_h = p.alpha**hh
     abar_mu = (1.0 - alpha_h) * p.mu
     q_h = p.r / (p.r + abar_mu)
+    if q_h < sys.float_info.min:  # the kernel takes log q as -log1p(qbar / q)
+        raise ParameterError(f"q_tilde_h = r / (r + (1 - alpha^h) mu) = {q_h!r} at h = {hh} "
+                             f"is below the smallest normal double {sys.float_info.min!r}")
     return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=alpha_h * q_h,
                        theta=p.theta, qbar_h=abar_mu / (p.r + abar_mu))
 

@@ -5,10 +5,15 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nbinar
 from nbinar import (
     ModelParams,
     Series,
@@ -63,6 +68,13 @@ def test_transition_where_alpha_h_underflows(capsys):
     code, out = run(capsys, ["transition", *BASE, "--i", "1", "--j", "1", "--h", "1100"])
     assert code == 0
     assert out.strip() == "0.222222222222222"
+
+
+def test_transition_where_q_tilde_underflows_exits_2(capsys):
+    code = main(["transition", "--alpha", "1e-300", "--mu", "1e300", "--r", "1e-300",
+                 "--i", "3", "--j", "7"])
+    assert code == 2
+    assert "q_tilde_h" in capsys.readouterr().err
 
 
 def test_transition_table_csv(tmp_path, capsys):
@@ -134,6 +146,29 @@ def test_simulate_too_wide_to_sample_exits_2(tmp_path, capsys):
     assert code == 2
     assert "Poisson sampler refused" in capsys.readouterr().err
     assert not dest.exists()
+
+
+def test_simulate_past_the_int64_counts_exits_2(tmp_path, capsys):
+    # the marginal NB(1e-3, 1e300) has its 1 - 1e-12 quantile far past 2^63
+    dest = tmp_path / "s.txt"
+    code = main(["simulate", "--alpha", "1e-300", "--mu", "1e300", "--r", "1e-3",
+                 "--n", "200", "--seed", "3", "--out", str(dest)])
+    assert code == 2
+    assert "2^63" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+def test_import_and_cml_fit_leave_scipy_optimize_out():
+    # importing it costs some 0.14 s, and its L-BFGS-B ran on a BLAS thread
+    # pool; a fresh interpreter imports the package and the CLI and fits once
+    src = Path(nbinar.__file__).resolve().parents[1]
+    code = ("import sys, numpy, nbinar, nbinar.cli; "
+            "nbinar.cml_fit(nbinar.Series(numpy.array([1, 2, 0, 3, 2, 2, 1, 0, 1, 4]))); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_io_failure(tmp_path):

@@ -27,7 +27,7 @@ from nbinar import (
     simulate,
     transition_prob,
 )
-from nbinar.distributions import _digamma_shift, _log_gamma_shift
+from nbinar.distributions import _digamma_shift, _log_gamma_shift, _trigamma, _trigamma_shift
 from nbinar.process import ma_sample, transition_rows
 from conftest import check_suite, coeff_A, coeff_B_split
 
@@ -287,6 +287,26 @@ def test_log_gamma_and_digamma_differences_match_mpmath(r):
         want_psi = [float(mpmath.digamma(v + r) - mpmath.digamma(r)) for v in x[1:]]
     assert_allclose(got, want, rtol=2e-14)
     assert_allclose(got_psi, want_psi, rtol=2e-14, atol=4e-15)
+    # and psi', which the likelihood's Hessian takes in differences too
+    got_psi1 = _trigamma_shift(x, r)[1:] - _trigamma_shift(x, r)[0]
+    with mpmath.workdps(40):
+        want_psi1 = [float(mpmath.polygamma(1, v + r) - mpmath.polygamma(1, r)) for v in x[1:]]
+    assert_allclose(got_psi1, want_psi1, rtol=1e-14)
+
+
+def test_trigamma_matches_mpmath():
+    # through both of its branches: the series from 20 on, the recurrence below
+    z = np.concatenate([np.geomspace(1e-3, 1e6, 60), [19.999999, 20.0, 20.000001]])
+    with mpmath.workdps(30):
+        want = [float(mpmath.polygamma(1, v)) for v in z]
+    assert_allclose(_trigamma(z), want, rtol=1e-15)
+
+
+def test_nb_support_bound_past_the_int64_counts_raises():
+    # the 1 - 1e-12 quantile of NB(1e-3, 1e300) lies far past 2^63; the search
+    # used to double until its count no longer converted to a float
+    with pytest.raises(ParameterError, match="2\\^63"):
+        nb_support_bound(NBParams(1e-3, 1e300), 1e-12)
 
 
 @pytest.mark.parametrize("size", [True, -1, 2.5, "3", (2, True), (2, -1), [2, 3]])

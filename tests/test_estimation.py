@@ -326,7 +326,7 @@ def test_loglik_and_score_are_the_same_summed_in_blocks_and_pieces(monkeypatch):
 
 def test_loglik_memory_stays_within_the_kept_terms_budget():
     # 5.6e6 mixture terms: keeping each one's N and log-factorials would take
-    # 89 MB; the kept 2^19 take 8.4 MB, and the blocks formed at each
+    # 134 MB; the kept 349,525 take 8.4 MB, and the blocks formed at each
     # evaluation about 2 MB
     p = ModelParams(0.9, 3e3, 5.0)
     series = simulate(p, 2000, np.random.default_rng(2))
@@ -367,11 +367,32 @@ def test_loglik_score_matches_central_differences(triple):
         return loglik(series, ModelParams(1.0 / (1.0 + math.exp(-t[0])),
                                           math.exp(t[1]), math.exp(t[2])))
 
-    value, score, _ = _evaluate(pairs, counts, ModelParams(alpha, mu, r), True)
+    value, score, _, _ = _evaluate(pairs, counts, ModelParams(alpha, mu, r), True)
     h = 1e-5
     central = [(at(t + h * e) - at(t - h * e)) / (2.0 * h) for e in np.eye(3)]
     # the differences carry about 1e-16 |loglik| / h of rounding and h^2 of truncation
     assert_allclose(score, central, rtol=1e-6, atol=1e-9 * abs(value))
+
+
+@pytest.mark.parametrize("triple", [(0.5, 2.0, 1.0), (0.9, 50.0, 0.5), (0.7, 20.0, 300.0),
+                                    (0.5, 2.0, 0.05)],
+                         ids=["hand", "heavy", "asymptotic-r", "small-r"])
+def test_loglik_hessian_matches_central_differences_of_the_score(triple):
+    # Louis' identity, at each series' generating triple; r = 300 takes the
+    # asymptotic forms of log Gamma, psi and psi' (r >= 100)
+    p = ModelParams(*triple)
+    pairs, counts = _pairs(simulate(p, 300, np.random.default_rng(43)).values)
+    t = np.array([math.log(p.alpha / (1.0 - p.alpha)), math.log(p.mu), math.log(p.r)])
+
+    def score_at(t):
+        return _evaluate(pairs, counts, estimation._box_params(t), True)[1]
+
+    _, _, hess, _ = _evaluate(pairs, counts, p, True)
+    h = 1e-5
+    central = np.array([(score_at(t + h * e) - score_at(t - h * e)) / (2.0 * h)
+                        for e in np.eye(3)])
+    assert_array_equal(hess, hess.T)
+    assert_allclose(hess, central, rtol=1e-6, atol=1e-8 * np.abs(hess).max())
 
 
 def test_cml_fit_cannot_worsen_truth_start():
@@ -414,8 +435,24 @@ def test_cml_fit_smoke_recovery():
     assert fit.n_iter <= 500
 
 
+@pytest.mark.parametrize("seed, size, max_eval", [(300, 500, 15), (818, 2000, 12)])
+def test_cml_fit_stops_at_a_maximum_by_its_decrement_rule(seed, size, max_eval):
+    # L-BFGS-B took 35 and 15 evaluations on these series
+    series = simulate(P_HAND, size, np.random.default_rng(seed))
+    fit = cml_fit(series)
+    assert fit.converged and fit.n_eval <= max_eval
+    t = np.array([math.log(fit.params.alpha / (1.0 - fit.params.alpha)),
+                  math.log(fit.params.mu), math.log(fit.params.r)])
+    assert np.all(np.abs(t) < estimation._SEARCH_BOX)  # every coordinate is free
+    value, grad, hess, _ = _evaluate(*_pairs(series.values), fit.params, True)
+    assert value == fit.loglik
+    np.linalg.cholesky(-hess)  # -H is positive definite
+    assert grad @ np.linalg.solve(-hess, grad) <= estimation._DECREMENT_TOL * abs(value)
+
+
 def test_cml_fit_optimum_outside_search_box_is_not_converged():
-    # the simplex runs logit alpha off to about -3e4, which the search clips to -30
+    # the likelihood rises as alpha -> 0, and the search ends on the face
+    # logit alpha = -30
     fit = cml_fit(Series(np.array([1, 2] * 15)))
     assert fit.params.alpha < 1e-13
     assert not fit.converged

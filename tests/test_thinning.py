@@ -42,6 +42,13 @@ def g_pmf_closed(beta, theta, k):
     return beta * (1.0 - ratio) * ratio ** (k - 1)
 
 
+def test_h_fold_where_q_tilde_underflows_raises():
+    # r / (r + (1 - alpha) mu) = 1e-600 rounds to 0, and the kernel takes
+    # log q as -log1p(qbar / q)
+    with pytest.raises(ParameterError, match="q_tilde_h"):
+        h_fold(ModelParams(1e-300, 1e300, 1e-300), 1)
+
+
 def test_star_to_odot_hand_values():
     a = star_to_odot(ModelParams(0.5, 2.0, 1.0))
     assert_allclose([a.beta, a.theta], [0.25, 2.0 / 3.0], rtol=1e-15)
