@@ -395,16 +395,21 @@ def _box_params(t) -> ModelParams:
 
 def _damped_step(grad, neg_hess, lam: float, floor: float):
     """The Levenberg step (-H + lam I)^-1 g, with lam raised from the one given,
-    to at least ``floor``, until -H + lam I is positive definite; returns
+    doubling from at least ``floor``, until -H + lam I is positive definite,
+    and where it had to be raised, doubled once more: then the smallest
+    eigenvalue of -H + lam I exceeds the size of -H's most negative one, and
+    the step stays short along a direction of negative curvature.  Returns
     (step, lam)."""
+    raised = False
     while True:
-        damped = neg_hess + lam * np.eye(grad.size)
         try:
-            np.linalg.cholesky(damped)
+            np.linalg.cholesky(neg_hess + lam * np.eye(grad.size))
         except np.linalg.LinAlgError:
-            lam = max(2.0 * lam, floor)
+            lam, raised = max(2.0 * lam, floor), True
             continue
-        return np.linalg.solve(damped, grad), lam
+        if raised:
+            lam *= 2.0
+        return np.linalg.solve(neg_hess + lam * np.eye(grad.size), grad), lam
 
 
 def _newton(evaluate, t, point):
@@ -426,10 +431,12 @@ def _newton(evaluate, t, point):
     for steps in range(_NEWTON_STEPS + 1):
         free = ~((np.abs(t) >= _SEARCH_BOX) & (t * grad > 0.0))
         g, neg_hess = grad[free], -hess[np.ix_(free, free)]
-        # the damping's scale: the curvature, or the slope where -H is 0
+        # the damping's scale: the curvature, or the slope where -H is 0.  A
+        # flat direction can leave -H singular to rounding: the decrement
+        # counts where -H + lam I is positive definite at lam = 1e-10 scale
         scale = max(np.abs(np.diag(neg_hess)).max(initial=0.0), np.abs(g).max(initial=0.0))
         step, lam = _damped_step(g, neg_hess, 0.0, 1e-10 * scale)
-        decrement = float(g @ step) if lam == 0.0 else math.inf
+        decrement = float(g @ step) if lam <= 2e-10 * scale else math.inf
         done = decrement <= _DECREMENT_TOL * abs(value)
         if (done and steps) or decrement == 0.0 or steps == _NEWTON_STEPS:
             break
