@@ -113,11 +113,11 @@ class NBParams:
 
 
 def _nb_log_pmf(params: NBParams, k):
-    """log P(X = k) at a count or an array of counts, with log q = -log1p(mu/r)
-    and log(1 - q) = log theta = -log1p(r/mu): no 1 - theta is formed, so both
-    keep their digits at either end of (0, 1)."""
+    """log P(X = k) at a count or an array of counts.  log q = -log1p(mu/r) and
+    log(1 - q) = log theta = -log1p(r/mu) keep their digits at either end of
+    (0, 1), and log Gamma(k + r) - log Gamma(r) (``_log_gamma_shift``) at large r."""
     r, mu = params.r, params.mu
-    return (log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r)
+    return (_log_gamma_shift(k, r) - log_gamma(k + 1.0) - _log_gamma_shift(0.0, r)
             - r * math.log1p(mu / r) - k * math.log1p(r / mu))
 
 
@@ -164,8 +164,8 @@ def nb_central_moments(params: NBParams) -> tuple[float, float, float, float]:
     return mu, v, m3, m4
 
 
-# counts are int64 (``_check_counts``): nb_support_bound searches below 2^63
-_COUNT_LIMIT = 1 << 63
+# nb_support_bound refuses a K from 2^53 on, where a double no longer holds every count
+_COUNT_LIMIT = 1 << 53
 
 
 def nb_support_bound(params: NBParams, tol: float) -> int:
@@ -178,8 +178,6 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
     pmf, so no pmf value has to be representable as a double.
     """
     r, mu = params.r, params.mu
-    log_theta = -math.log1p(r / mu)
-    log_base = -r * math.log1p(mu / r) - float(log_gamma(r))
     log_tol = math.log(_check_real(tol, "tol", 0.0, 1.0))
 
     def below(k: int) -> bool:
@@ -187,16 +185,15 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
         slack = r * (k + 1.0) + min(0.0, mu * (1.0 - r))
         if slack <= 0.0:
             return False
-        logp = float(log_gamma(k + r) - log_gamma(k + 1.0)) + log_base + k * log_theta
-        return logp < log_tol + math.log(slack / (k + 1.0)) - math.log(mu + r)
+        return _nb_log_pmf(params, k) < log_tol + math.log(slack / (k + 1.0)) - math.log(mu + r)
 
     # below(lo) stays false and below(hi) true; lo starts just before the mode
     lo, step = max(0, math.ceil(mu * (r - 1.0) / r - 1.0)) - 1, 1
-    while not below(lo + step):
+    while lo + step < _COUNT_LIMIT and not below(lo + step):
         lo, step = lo + step, 2 * step
-        if lo + step >= _COUNT_LIMIT:
-            raise ParameterError(f"NB(r={r!r}, mu={mu!r}) has more than tol = {tol!r} of its "
-                                 f"mass at or above 2^63, past the largest int64 count")
+    if lo + step >= _COUNT_LIMIT:
+        raise ParameterError(f"NB(r={r!r}, mu={mu!r}) has more than tol = {tol!r} of its "
+                             f"mass at or above 2^53, where a double no longer holds every count")
     hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -507,7 +504,7 @@ def _root_gap(k, turn, lam: float, r: float):
     this much the unwanted solution outgrows the wanted one, and a backward
     run's error shrinks, at k.  2 asinh(sinh(lam / 2) (k - turn) / sqrt((k + 1)(r + k - 1)))."""
     return 2.0 * np.arcsinh(math.sinh(lam / 2.0) * (k - turn)
-                            / (np.sqrt(k + 1.0) * np.sqrt(r + k - 1.0)))
+                            / (np.sqrt(k + 1.0) * np.sqrt(r + (k - 1.0))))
 
 
 def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> np.ndarray:
@@ -549,10 +546,12 @@ def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> 
                 start += 1
                 decay += _root_gap(start, slowest, lam, r)
         lo, top = int(split.min()), split.max()
-        # forward: (j + 1) u0 p_{j+1} / p_j = A_i + d j + c (b - c)(r + j - 1) p_{j-1} / p_j
+        # e_k = c (b - c)(r + (k - 1)) at k = 0..start for both runs: a small r keeps its digits
+        e = c * (b - c) * (r + (np.arange(start + 1.0) - 1.0))
+        # forward: (j + 1) u0 p_{j+1} / p_j = A_i + d j + e_j p_{j-1} / p_j
         j = np.arange(j_max, dtype=float)
         inv = 1.0 / (u0 * (j + 1.0))
-        tail = (c * (b - c) * (r + j - 1.0) * inv).tolist()
+        tail = (e[:j_max] * inv).tolist()
         rho = logp[1:]  # the p_j terms over (j + 1) u0, then p_{j+1} / p_j
         rho[:] = (d * j)[:, None]
         rho += a
@@ -562,15 +561,15 @@ def _binom_nb_rows(rows, j_max: int, b: float, q: float, c: float, r: float) -> 
             ahead = True if k < lo else np.greater(split, k, out=mask)
             np.divide(tail[k], rho[k - 1], out=step, where=ahead)
             np.add(rho[k], step, out=rho[k], where=ahead)
-        # backward: p_k / p_{k-1} = c (b - c)(r + k - 1) / v_k, with
+        # backward: p_k / p_{k-1} = e_k / v_k, with
         # v_k = (k + 1) u0 p_{k+1} / p_k - A_i - d k > 0 above j*
         v = -(a + d * start)
+        e = e.tolist()
         for k in range(start, lo, -1):
             behind = True if top < min(k, j_max) else np.less(split, min(k, j_max), out=mask)
-            e = c * (b - c) * (r + (k - 1))
             if k <= j_max:
-                np.divide(e, v, out=rho[k - 1], where=behind)
-            np.divide(k * u0 * e, v, out=v, where=behind)
+                np.divide(e[k], v, out=rho[k - 1], where=behind)
+            np.divide(k * u0 * e[k], v, out=v, where=behind)
             np.subtract(v, d * (k - 1), out=v, where=behind)
             np.subtract(v, a, out=v, where=behind)
         with np.errstate(divide="ignore"):  # a ratio that underflows to 0 zeroes the cells past it

@@ -47,8 +47,8 @@ __all__ = [
     "write_series",
 ]
 
-MAX_STATE = 5000  # largest state of a dense table: (MAX_STATE + 1)^2 doubles, 200 MB
-# most cells one ``transition_rows`` call may fill, so a table at MAX_STATE fits
+MAX_STATE = 5000  # the cap of ``default_max_state``
+# most cells one ``transition_rows`` call may fill: a table on 0..MAX_STATE (200 MB) fits
 MAX_CELLS = (MAX_STATE + 1) ** 2
 # most terms a likelihood may sum, sum of min(i, j) + 1 over its distinct
 # transitions (i, j): about 0.15 s an evaluation, and a log-factorial table of
@@ -225,7 +225,7 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     cells = rows.size * (j_max + 1)
     if cells > MAX_CELLS:
         raise ParameterError(f"{rows.size} rows on 0..{j_max} are {cells} cells, "
-                             f"more than the supported {MAX_CELLS}")
+                             f"more than the cell budget of {MAX_CELLS}")
     hp = h_fold(p, h)
     return _binom_nb_rows(rows, j_max, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
@@ -241,8 +241,6 @@ def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -
     if max_state is None:
         max_state = default_max_state(p)
     max_state = _check_count(max_state, "max_state")
-    if max_state > MAX_STATE:
-        raise ParameterError(f"max_state {max_state} exceeds the supported bound {MAX_STATE}")
     probs = transition_rows(p, np.arange(max_state + 1), max_state, h)
     return TransitionTable(h=int(h), max_state=max_state, probs=probs)
 

@@ -125,10 +125,12 @@ def geometric_transition_reference(alpha, mu, h, i, j):
 
 
 def thin_pmf_oracle(p, x, h, k):
-    """P(h-fold thinning of x equals k), with y = 1 - (1 - beta_h) theta."""
+    """P(h-fold thinning of x equals k), with y = 1 - (1 - beta_h) theta formed
+    as the positive (1 - theta) + beta_h theta, 1 - theta = r / (mu + r).  At
+    r = 1e-15 y is near 1e-15, and taken as 1 - (1 - y) it left the pmf 8e-4 off."""
     hp = h_fold(p, h)
     ybar = (1.0 - hp.beta_h) * hp.theta
-    return thinned_oracle(x, k, hp.beta_h, 1.0 - ybar, ybar)
+    return thinned_oracle(x, k, hp.beta_h, p.r / (p.mu + p.r) + hp.beta_h * hp.theta, ybar)
 
 
 def transition_row_oracle(p, i, j_max, h=1):

@@ -91,6 +91,22 @@ def test_transition_table_csv(tmp_path, capsys):
     assert total + float(rows[3]["tail_mass"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_transition_table_past_the_cell_budget_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "big.csv"
+    assert main(["transition", *BASE, "--table", "5001", "--out", str(out_path)]) == 2
+    assert "cell budget" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_transition_table_at_tiny_r_holds_no_nan(tmp_path, capsys):
+    # the row kernel's forward run lost r at r = 1e-15 and wrote NaN in every row
+    out_path = tmp_path / "tiny.csv"
+    code, _ = run(capsys, ["transition", "--alpha", "0.5", "--mu", "2", "--r", "1e-15",
+                           "--table", "60", "--out", str(out_path)])
+    assert code == 0
+    assert "nan" not in out_path.read_text().lower()
+
+
 def test_transition_table_two_step_matches_squared_one_step(tmp_path, capsys):
     # the h=2 table equals the square of the h=1 law; square on a buffered
     # window so probability does not leak at the crop boundary
@@ -154,7 +170,7 @@ def test_simulate_past_the_int64_counts_exits_2(tmp_path, capsys):
     code = main(["simulate", "--alpha", "1e-300", "--mu", "1e300", "--r", "1e-3",
                  "--n", "200", "--seed", "3", "--out", str(dest)])
     assert code == 2
-    assert "2^63" in capsys.readouterr().err
+    assert "2^53" in capsys.readouterr().err
     assert not dest.exists()
 
 

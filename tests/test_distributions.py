@@ -94,6 +94,18 @@ def test_nb_pmf_matches_mpmath_where_theta_nears_one():
                 assert_allclose(vec[k], want, rtol=1e-13)
 
 
+@pytest.mark.parametrize("r", [1e4, 1e8, 1e12, 1e14])
+def test_nb_pmf_matches_mpmath_at_large_r(r):
+    # log Gamma(k + r) - log Gamma(r) formed as a difference of two log Gammas
+    # left these 2.2e-11 off at r = 1e4 and 0.34 off at 1e14
+    params = NBParams(r, 1.0)
+    vec = nb_pmf_vector(params, 7)
+    for k in range(8):
+        want = nb_pmf_mpmath(params, k)
+        assert_allclose(nb_pmf(params, k), want, rtol=1e-13)
+        assert_allclose(vec[k], want, rtol=1e-13)
+
+
 # (r, mu) across the wide domain: pmf(0) underflows at the first two, the
 # pmf ratio past the mode exceeds theta at the third, and the fourth has a
 # bound in the tens of millions
@@ -305,8 +317,19 @@ def test_trigamma_matches_mpmath():
 def test_nb_support_bound_past_the_int64_counts_raises():
     # the 1 - 1e-12 quantile of NB(1e-3, 1e300) lies far past 2^63; the search
     # used to double until its count no longer converted to a float
-    with pytest.raises(ParameterError, match="2\\^63"):
+    with pytest.raises(ParameterError, match="2\\^53"):
         nb_support_bound(NBParams(1e-3, 1e300), 1e-12)
+
+
+@pytest.mark.parametrize("mu", [1e15, 1e17])
+def test_nb_support_bound_past_2_53_raises(mu):
+    # the 1 - 1e-12 quantile of NB(0.5, mu), about 51 mu, lies past 2^53, where
+    # k + 1.0 no longer holds every count; the search used to return
+    # 9007199254741026 at both, 0.18x and 0.0018x of that quantile
+    params = NBParams(0.5, mu)
+    assert scipy.stats.nbinom.isf(1e-12, params.r, params.r / (params.r + mu)) > 2.0 ** 53
+    with pytest.raises(ParameterError, match="2\\^53"):
+        nb_support_bound(params, 1e-12)
 
 
 @pytest.mark.parametrize("size", [True, -1, 2.5, "3", (2, True), (2, -1), [2, 3]])
