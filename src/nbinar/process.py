@@ -162,8 +162,12 @@ def _use_table(J: int, n: int) -> bool:
 
 @lru_cache(maxsize=1)
 def _support_bound(p: ModelParams) -> int:
-    """``simulate``'s table bound J: the NB(r, mu) support bound at 1e-12."""
-    return nb_support_bound(p.marginal(), 1e-12)
+    """``simulate``'s table bound J: the NB(r, mu) support bound at 1e-12, or
+    TABLE_MAX_STATE + 1, past the table's cap, where that bound passes 2^53."""
+    try:
+        return nb_support_bound(p.marginal(), 1e-12)
+    except ParameterError:
+        return TABLE_MAX_STATE + 1
 
 
 @lru_cache(maxsize=1)
@@ -210,6 +214,14 @@ def transition_prob(p: ModelParams, i: int, j: int, h: int = 1) -> float:
     return _binom_nb_cell(i, j, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
 
+def _check_cells(n_rows: int, j_max: int) -> None:
+    """Refuse n_rows rows on 0..j_max past MAX_CELLS, the one limit on a table."""
+    cells = n_rows * (j_max + 1)
+    if cells > MAX_CELLS:
+        raise ParameterError(f"{n_rows} rows on 0..{j_max} are {cells} cells, "
+                             f"more than the cell budget of {MAX_CELLS}")
+
+
 def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     """Transition probabilities for each origin state in ``rows``, vectorized.
 
@@ -222,18 +234,18 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
     """
     j_max = _check_count(j_max, "j_max")
     rows = _check_counts(rows, "rows")
-    cells = rows.size * (j_max + 1)
-    if cells > MAX_CELLS:
-        raise ParameterError(f"{rows.size} rows on 0..{j_max} are {cells} cells, "
-                             f"more than the cell budget of {MAX_CELLS}")
+    _check_cells(rows.size, j_max)
     hp = h_fold(p, h)
     return _binom_nb_rows(rows, j_max, hp.beta_h, hp.q_tilde_h, hp.qbar_h, p.r)
 
 
 def default_max_state(p: ModelParams) -> int:
     """Default table truncation: twice the NB(r, mu) tail bound at 1e-12,
-    capped at MAX_STATE."""
-    return min(MAX_STATE, 2 * nb_support_bound(p.marginal(), 1e-12))
+    capped at MAX_STATE, which a bound past 2^53 also takes."""
+    try:
+        return min(MAX_STATE, 2 * nb_support_bound(p.marginal(), 1e-12))
+    except ParameterError:
+        return MAX_STATE
 
 
 def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -> TransitionTable:
@@ -241,6 +253,7 @@ def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -
     if max_state is None:
         max_state = default_max_state(p)
     max_state = _check_count(max_state, "max_state")
+    _check_cells(max_state + 1, max_state)
     probs = transition_rows(p, np.arange(max_state + 1), max_state, h)
     return TransitionTable(h=int(h), max_state=max_state, probs=probs)
 

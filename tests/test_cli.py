@@ -96,6 +96,10 @@ def test_transition_table_past_the_cell_budget_exits_2(tmp_path, capsys):
     assert main(["transition", *BASE, "--table", "5001", "--out", str(out_path)]) == 2
     assert "cell budget" in capsys.readouterr().err
     assert not out_path.exists()
+    # a table of 10^24 cells is refused as cleanly, before its rows are formed
+    assert main(["transition", *BASE, "--table", str(10**12), "--out", str(out_path)]) == 2
+    assert "cell budget" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_transition_table_at_tiny_r_holds_no_nan(tmp_path, capsys):
@@ -165,12 +169,14 @@ def test_simulate_too_wide_to_sample_exits_2(tmp_path, capsys):
 
 
 def test_simulate_past_the_int64_counts_exits_2(tmp_path, capsys):
-    # the marginal NB(1e-3, 1e300) has its 1 - 1e-12 quantile far past 2^63
+    # the marginal NB(1e-3, 1e300) has its 1 - 1e-12 quantile far past 2^63, so
+    # no table is built; the loop sampler refuses the law, as beta = 1e-603
+    # underflows to 0
     dest = tmp_path / "s.txt"
     code = main(["simulate", "--alpha", "1e-300", "--mu", "1e300", "--r", "1e-3",
                  "--n", "200", "--seed", "3", "--out", str(dest)])
     assert code == 2
-    assert "2^53" in capsys.readouterr().err
+    assert "beta must lie in (0, 1)" in capsys.readouterr().err
     assert not dest.exists()
 
 

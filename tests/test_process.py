@@ -38,6 +38,7 @@ from nbinar import process
 from nbinar.process import (
     MAX_CELLS,
     MAX_STATE,
+    TABLE_MAX_STATE,
     TransitionTable,
     _cdf_rows,
     _invert_row,
@@ -95,6 +96,18 @@ def test_simulate_sampler_choice():
     for p, n, want in ((P_HAND, 306, "loop"), (P_HAND, 307, "table"), (heavy, 2000, "loop")):
         meta = simulate(p, n, np.random.default_rng(1)).meta
         assert (meta["sampler"], meta["extended_rows"]) == (want, 0)
+
+
+def test_simulate_past_the_support_bound_limit_uses_the_loop():
+    # NB(1, 1e15) has its 1 - 1e-12 quantile past 2^53, where nb_support_bound
+    # refuses; simulate and the default table read that as past their caps
+    p = ModelParams(0.5, 1e15, 1.0)
+    with pytest.raises(ParameterError, match="2\\^53"):
+        nb_support_bound(p.marginal(), 1e-12)
+    assert _support_bound(p) == TABLE_MAX_STATE + 1
+    assert default_max_state(p) == MAX_STATE
+    s = simulate(p, 10, np.random.default_rng(1))
+    assert len(s) == 10 and s.meta["sampler"] == "loop" and (s.values > 0).all()
 
 
 @functools.cache
@@ -451,6 +464,11 @@ def test_transition_rows_cell_budget():
     # the budget is the one refusal of a table too large
     with pytest.raises(ParameterError, match=f"cell budget of {MAX_CELLS}"):
         transition_table(P_HAND, MAX_STATE + 1)
+
+    def huge_table():  # refused before its 0..max_state rows are formed
+        with pytest.raises(ParameterError, match=f"cell budget of {MAX_CELLS}"):
+            transition_table(P_HAND, 10**12)
+    assert peak_bytes(huge_table) < 1e6
 
     def huge_row():
         with pytest.raises(ParameterError, match=f"{10**9 + 1} cells.*{MAX_CELLS}"):
