@@ -399,10 +399,16 @@ class _BinomNBPairs:
         """log P(j | i) of each pair; with ``moments``, also E[N], E[psi(N + r)],
         Var(N), Cov(N, psi(N + r)), Var(psi(N + r)) and E[psi'(N + r)] under
         each pair's posterior over N."""
-        n = np.arange(self.n_max + 1.0)
+        n = np.arange((self.n_max if b > 0.0 else 0) + 1.0)
         log_t = _log_terms_n(n, b, q, c, r)
         if moments:
             psi, psi1 = _digamma_shift(n, r), _trigamma_shift(n, r)
+        if b == 0.0:  # alpha^h underflowed: only N = 0 is left, P(j | i) = NB(j; r, q)
+            log_p = log_t[0] - log_gamma(self.j + 1.0) + _log_terms_pair(self.i, self.j, b, q, c, r)
+            if not moments:
+                return log_p
+            zero = np.zeros(log_p.size)
+            return log_p, zero, zero + psi[0], zero, zero, zero, zero + psi1[0]
         log_w = log_t - self.log_fact[:n.size]  # for the blocks past the kept ones
         sums = []
         for k, (p0, p1) in enumerate(self.blocks):

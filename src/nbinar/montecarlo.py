@@ -268,12 +268,12 @@ def _fit_row(method: str, series: Series, n: int, rep: int) -> dict:
     return row
 
 
-def _replicate(task) -> tuple[int, int, list]:
+def _replicate(task) -> list:
     alpha, mu, r, n, rep, master_seed, estimators = task
     p = ModelParams(alpha=alpha, mu=mu, r=r)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n, rep)))
     series = simulate(p, n + 1, rng)
-    return n, rep, [_fit_row(method, series, n, rep) for method in estimators]
+    return [_fit_row(method, series, n, rep) for method in estimators]
 
 
 def _worker_count() -> int:
@@ -296,7 +296,7 @@ def run_experiment(cfg: MCConfig) -> MCReport:
     config names an output path."""
     tasks = [(cfg.params.alpha, cfg.params.mu, cfg.params.r, n, rep,
               cfg.master_seed, cfg.estimators)
-             for n in cfg.n_grid for rep in range(cfg.replicates)]
+             for n in sorted(cfg.n_grid) for rep in range(cfg.replicates)]
     workers = min(_worker_count(), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))
@@ -304,8 +304,7 @@ def run_experiment(cfg: MCConfig) -> MCReport:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))
     else:
         results = [_replicate(t) for t in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
-    rows = [row for _, _, chunk_rows in results for row in chunk_rows]
+    rows = [row for task_rows in results for row in task_rows]
 
     truth = true_values(cfg.params)
     cov = predicted_cov(cfg.params)

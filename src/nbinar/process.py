@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .distributions import (
     nb_sample,
     nb_support_bound,
 )
-from .thinning import ModelParams, h_fold, odot_sample, odot_sample_array, star_to_odot
+from .thinning import ModelParams, h_fold, odot_sample, odot_sample_array
 
 __all__ = [
     "Series",
@@ -130,12 +131,12 @@ def simulate(p: ModelParams, n: int, rng: np.random.Generator) -> Series:
             state = j
         x, sampler = np.array(path, dtype=np.int64), "table"
     else:
-        a = star_to_odot(p)
+        hp = h_fold(p, 1)
         x = np.empty(n, dtype=np.int64)
         x[0] = x0
         eps = nb_sample(p.innovation(), rng, size=n - 1) if n > 1 else ()
         for t in range(1, n):
-            x[t] = odot_sample(a.beta, a.theta, int(x[t - 1]), rng) + eps[t - 1]
+            x[t] = odot_sample(hp.beta_h, hp.q_tilde_h, int(x[t - 1]), rng) + eps[t - 1]
         sampler, extended = "loop", 0
     meta = {"alpha": p.alpha, "mu": p.mu, "r": p.r, "mode": "stationary",
             "sampler": sampler, "extended_rows": extended}
@@ -161,13 +162,13 @@ def _use_table(J: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _support_bound(p: ModelParams) -> int:
-    """``simulate``'s table bound J: the NB(r, mu) support bound at 1e-12, or
-    TABLE_MAX_STATE + 1, past the table's cap, where that bound passes 2^53."""
+def _support_bound(p: ModelParams) -> int | float:
+    """The NB(r, mu) support bound at 1e-12, ``simulate``'s table bound J, or
+    math.inf, past every cap, where that bound passes 2^53."""
     try:
         return nb_support_bound(p.marginal(), 1e-12)
     except ParameterError:
-        return TABLE_MAX_STATE + 1
+        return math.inf
 
 
 @lru_cache(maxsize=1)
@@ -240,12 +241,9 @@ def transition_rows(p: ModelParams, rows, j_max: int, h: int = 1) -> np.ndarray:
 
 
 def default_max_state(p: ModelParams) -> int:
-    """Default table truncation: twice the NB(r, mu) tail bound at 1e-12,
-    capped at MAX_STATE, which a bound past 2^53 also takes."""
-    try:
-        return min(MAX_STATE, 2 * nb_support_bound(p.marginal(), 1e-12))
-    except ParameterError:
-        return MAX_STATE
+    """Default table truncation: twice the NB(r, mu) tail bound at 1e-12
+    (``_support_bound``), capped at MAX_STATE, which a bound past 2^53 also takes."""
+    return min(MAX_STATE, 2 * _support_bound(p))
 
 
 def transition_table(p: ModelParams, max_state: int | None = None, h: int = 1) -> TransitionTable:
@@ -274,13 +272,15 @@ def conditional_moments(p: ModelParams, x: int, h: int = 1) -> tuple[float, floa
 
 
 def conditional_pgf(p: ModelParams, x: int, h: int, s: float) -> float:
-    """E[s^{X_{t+h}} | X_t = x] in closed form."""
+    """E[s^{X_{t+h}} | X_t = x] = (1 - b (1 - s) / v)^x (q / v)^r, (b, q, c) of
+    ``h_fold`` and v = 1 - c s = q + c (1 - s): no cancelling, exactly 1 at
+    s = 1, and (q / v)^r = exp(-r log1p(c (1 - s) / q)) keeps its digits at large r."""
     x = _check_count(x, "x")
     s = _check_real(s, "s", 0.0, 1.0, closed=True)
     hp = h_fold(p, h)
-    q = hp.q_tilde_h
-    denom = 1.0 - (1.0 - q) * s
-    return (1.0 - hp.beta_h * (1.0 - s) / denom) ** x * (q / denom) ** p.r
+    gap = hp.qbar_h * (1.0 - s)
+    return ((1.0 - hp.beta_h * (1.0 - s) / (hp.q_tilde_h + gap)) ** x
+            * math.exp(-p.r * math.log1p(gap / hp.q_tilde_h)))
 
 
 def joint_pgf(p: ModelParams, s1: float, s2: float) -> float:
@@ -323,9 +323,9 @@ def ma_sample(p: ModelParams, J: int, rng: np.random.Generator, size=None):
         hp = h_fold(p, j)
         eps = nb_sample(eps_params, rng, size=size)
         if size is None:
-            total += odot_sample(hp.beta_h, hp.theta, int(eps), rng)
+            total += odot_sample(hp.beta_h, hp.q_tilde_h, int(eps), rng)
         else:
-            total = total + odot_sample_array(hp.beta_h, hp.theta, eps, rng)
+            total = total + odot_sample_array(hp.beta_h, hp.q_tilde_h, eps, rng)
     return total
 
 

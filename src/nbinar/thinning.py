@@ -12,7 +12,9 @@ and sums them.  An equivalent parameterization uses beta = alpha r /
 
 G is a mixture: 0 with probability 1 - beta, otherwise a shifted geometric
 with success probability 1 - (1 - beta) theta.  Composing the operator h
-times stays in the family with parameters (beta_h, theta).
+times stays in the family with parameters (beta_h, theta).  Only ``h_fold``
+forms beta_h, q_tilde_h and 1 - q_tilde_h from (alpha, mu, r); every sampler
+and closed form reads them from it.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class ModelParams:
         attrs["r"] = _check_real(self.r, "r", 0.0)
 
     @property
-    def q_tilde(self) -> float:
-        """r / (r + (1 - alpha) mu), in (0, 1)."""
-        return self.r / (self.r + (1.0 - self.alpha) * self.mu)
-
-    @property
     def theta(self) -> float:
         return self.mu / (self.mu + self.r)
 
@@ -115,9 +112,8 @@ class HFoldParams:
 
 
 def star_to_odot(p: ModelParams) -> AltParams:
-    """Map (alpha, mu, r) to the equivalent (beta, theta, r)."""
-    beta = p.alpha * p.r / (p.r + (1.0 - p.alpha) * p.mu)
-    return AltParams(beta=beta, theta=p.theta, r=p.r)
+    """Map (alpha, mu, r) to the equivalent (beta, theta, r), beta from ``h_fold``."""
+    return AltParams(h_fold(p, 1).beta_h, p.theta, p.r)
 
 
 def odot_to_star(a: AltParams) -> ModelParams:
@@ -136,14 +132,14 @@ def odot_pgf(beta: float, theta: float, s: float) -> float:
 def g_pmf(p: ModelParams, k: int) -> float:
     """pmf of the thinning count G.
 
-    P(G = 0) = 1 - beta and P(G = k) = beta q_tilde bt^(k-1) for k >= 1,
-    where bt = (1 - beta) theta and q_tilde = 1 - bt.
+    P(G = 0) = 1 - beta and P(G = k) = beta q_tilde qbar^(k-1) for k >= 1, with
+    (beta, q_tilde, qbar) the (beta_h, q_tilde_h, qbar_h) of ``h_fold`` at h = 1.
     """
     k = _check_count(k)
-    a = star_to_odot(p)
+    hp = h_fold(p, 1)
     if k == 0:
-        return 1.0 - a.beta
-    return a.beta * p.q_tilde * ((1.0 - a.beta) * a.theta) ** (k - 1)
+        return 1.0 - hp.beta_h
+    return hp.beta_h * hp.q_tilde_h * hp.qbar_h ** (k - 1)
 
 
 def g_pgf(p: ModelParams, s: float) -> float:
@@ -215,27 +211,25 @@ def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:
     return _binom_nb_cell(x, k, hp.beta_h, hp.q_tilde_h, hp.qbar_h, 0.0)
 
 
-def odot_sample(beta: float, theta: float, x: int, rng: np.random.Generator) -> int:
-    """Apply the (beta, theta) operator to the count x: the number of nonzero
-    contributors is Binomial(x, beta), and their total exceeds that count by a
-    NegBinomial(count, 1 - (1-beta) theta) number of extras."""
+def odot_sample(beta: float, q: float, x: int, rng: np.random.Generator) -> int:
+    """Apply the operator with (beta_h, q_tilde_h) = (beta, q) of ``h_fold`` to
+    the count x: Binomial(x, beta) contributors are nonzero, and their total
+    exceeds that count by a NegBinomial(count, q) number of extras."""
     if x == 0:
         return 0
     n = int(rng.binomial(x, beta))
     if n == 0:
         return 0
-    q = 1.0 - (1.0 - beta) * theta
     return n + int(rng.negative_binomial(n, q))
 
 
-def odot_sample_array(beta: float, theta: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def odot_sample_array(beta: float, q: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized ``odot_sample`` over an array of counts."""
     x = np.asarray(x)
     n = rng.binomial(x, beta)
     out = n.astype(np.int64)
     mask = out > 0
     if mask.any():
-        q = 1.0 - (1.0 - beta) * theta
         out[mask] += rng.negative_binomial(n[mask], q)
     return out
 
@@ -243,5 +237,5 @@ def odot_sample_array(beta: float, theta: float, x: np.ndarray, rng: np.random.G
 def thin_sample(p: ModelParams, x: int, rng: np.random.Generator) -> int:
     """Draw the thinning of x, distributed as a sum of x iid copies of G."""
     x = _check_count(x, "x")
-    a = star_to_odot(p)
-    return odot_sample(a.beta, a.theta, x, rng)
+    hp = h_fold(p, 1)
+    return odot_sample(hp.beta_h, hp.q_tilde_h, x, rng)

@@ -304,6 +304,23 @@ def test_loglik_far_transition_matches_mpmath():
     assert_allclose(value, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("block", [distributions.PAIR_BLOCK, 4])
+def test_loglik_where_beta_underflows_is_the_sum_of_transition_probs(monkeypatch, block):
+    # at alpha = 5e-324, beta = alpha q rounds to 0 and only the N = 0 term of
+    # each transition is left; summing every N there gave +0.509.  With blocks
+    # of 4 terms the longer pairs have pieces with no N = 0 term
+    monkeypatch.setattr(distributions, "PAIR_BLOCK", block)
+    x = np.array([3, 4, 5, 2, 6, 1, 0, 3])
+    for alpha in (5e-324, 1e-322):
+        p = ModelParams(alpha, 2.0, 1.0)
+        want = sum(math.log(transition_prob(p, i, j)) for i, j in zip(x[:-1], x[1:]))
+        assert_allclose(want, -16.205053290948, rtol=1e-12)
+        assert_allclose(loglik(Series(x), p), want, rtol=1e-14)
+        value, grad, hess, _ = _evaluate(*_pairs(x), p, True)
+        assert_allclose(value, want, rtol=1e-14)
+        assert np.isfinite(grad).all() and np.isfinite(hess).all()
+
+
 def test_loglik_and_score_are_the_same_summed_in_blocks_and_pieces(monkeypatch):
     # with blocks of 4 terms, several pairs share a block and long pairs are
     # split into pieces, which are merged again per pair; with a budget of 20

@@ -30,6 +30,7 @@ from nbinar import (
     read_series,
     simulate,
     thin_conditional_pmf,
+    thin_sample,
     transition_prob,
     transition_table,
     write_series,
@@ -38,7 +39,6 @@ from nbinar import process
 from nbinar.process import (
     MAX_CELLS,
     MAX_STATE,
-    TABLE_MAX_STATE,
     TransitionTable,
     _cdf_rows,
     _invert_row,
@@ -100,14 +100,62 @@ def test_simulate_sampler_choice():
 
 def test_simulate_past_the_support_bound_limit_uses_the_loop():
     # NB(1, 1e15) has its 1 - 1e-12 quantile past 2^53, where nb_support_bound
-    # refuses; simulate and the default table read that as past their caps
+    # refuses; _support_bound reads that as infinite, past simulate's and the
+    # default table's caps
     p = ModelParams(0.5, 1e15, 1.0)
     with pytest.raises(ParameterError, match="2\\^53"):
         nb_support_bound(p.marginal(), 1e-12)
-    assert _support_bound(p) == TABLE_MAX_STATE + 1
+    assert _support_bound(p) == math.inf
     assert default_max_state(p) == MAX_STATE
     s = simulate(p, 10, np.random.default_rng(1))
     assert len(s) == 10 and s.meta["sampler"] == "loop" and (s.values > 0).all()
+
+
+def test_simulate_loop_where_beta_underflows():
+    # beta = alpha r / (r + (1 - alpha) mu) = 5e-331 rounds to 0, where no count
+    # survives the thinning; the loop takes it from h_fold and does not refuse it
+    p = ModelParams(1e-300, 2.0, 1e-30)
+    assert h_fold(p, 1).beta_h == 0.0
+    s = simulate(p, 10, np.random.default_rng(1))
+    assert len(s) == 10 and s.meta["sampler"] == "loop"
+
+
+class RecordingGenerator:
+    """A generator whose gamma means are 1, Poisson counts 3 and binomial
+    thinnings keep every count, and which records the success probability of
+    each negative binomial draw (returning no extras)."""
+
+    def __init__(self):
+        self.q = []
+
+    def gamma(self, shape, scale, size=None):
+        return np.ones(size if size is not None else ())
+
+    def poisson(self, lam):
+        return np.full(np.shape(lam), 3, dtype=np.int64)
+
+    def binomial(self, n, p):
+        return n
+
+    def negative_binomial(self, n, p):
+        self.q.append(p)
+        return np.zeros_like(n)
+
+
+def test_samplers_draw_the_extras_at_q_tilde_of_h_fold():
+    # 1 - (1 - beta) theta cancels at small r: 8e-4 off q_tilde = r / (r + (1 - alpha) mu) here
+    p = ModelParams(0.5, 2.0, 1e-15)
+    q1 = h_fold(p, 1).q_tilde_h
+    rng = RecordingGenerator()
+    thin_sample(p, 4, rng)
+    assert rng.q == [q1]
+    rng = RecordingGenerator()
+    s = simulate(p, 10, rng)
+    assert s.meta["sampler"] == "loop" and rng.q == [q1] * 9
+    for size in (None, 5):
+        rng = RecordingGenerator()
+        ma_sample(p, 4, rng, size=size)
+        assert rng.q == [h_fold(p, h).q_tilde_h for h in range(1, 5)]
 
 
 @functools.cache
