@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from .distributions import ParameterError, _check_count
-from .estimation import DegenerateSeriesError
+from .estimation import DegenerateSeriesError, predicted_cov
 from .montecarlo import (
     ESTIMATORS,
     REGISTRY,
     EmptyReportError,
     MCConfig,
     jsonable,
-    predicted_cov_at,
     run_experiment,
 )
 from .process import read_series, simulate, transition_prob, transition_table, write_series
@@ -145,8 +144,9 @@ def cmd_estimate(args) -> int:
         if estimator.no_cov_flag is not None:
             flags.append(estimator.no_cov_flag)
     else:
-        cov = predicted_cov_at(fit.cov_point)
-        if cov is None:
+        try:
+            cov = predicted_cov(ModelParams(*fit.cov_point))
+        except (ValueError, OverflowError):  # outside the domain, or the moments overflow
             flags.append("cov-unavailable")
     report = {"method": args.method, "observations": len(series),
               "estimates": fit.estimates, **fit.details,

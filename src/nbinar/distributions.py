@@ -106,11 +106,6 @@ class NBParams:
         attrs["r"] = _check_real(self.r, "r", 0.0)
         attrs["mu"] = _check_real(self.mu, "mu", 0.0)
 
-    @property
-    def theta(self) -> float:
-        """Success-probability style parameter mu / (mu + r), in (0, 1)."""
-        return self.mu / (self.mu + self.r)
-
 
 def _nb_log_pmf(params: NBParams, k):
     """log P(X = k) at a count or an array of counts.  log q = -log1p(mu/r) and
@@ -201,16 +196,19 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
     return hi
 
 
-# Terms of ``_BinomNBPairs`` formed per numpy pass: a pass holds PAIR_BLOCK to
-# twice that many, with a few doubles of temporaries a term (formed at each
-# evaluation, a likelihood of 1.4e7 terms peaks at 2.4 MB).  A pass's arrays,
-# 128 to 256 KB each, stay in cache: passes of 2^16 terms made one evaluation
-# of 5.6e6 terms about 1.6 times slower.
-PAIR_BLOCK = 1 << 14
-# Terms whose N (as an index and as a float) and log-factorials ``_BinomNBPairs``
-# builds once and keeps for every evaluation, 24 bytes a term: 2^23 bytes
-# (8.4 MB).  The blocks past them are formed again at each evaluation.
+# A likelihood's memory, counted in ``_BinomNBPairs`` terms, min(i, j) + 1 a
+# distinct transition (i, j).  ``estimation._pairs`` refuses more than
+# MAX_PAIR_TERMS: about 0.15 s an evaluation, and a log-factorial table of at
+# most twice as many doubles, 270 MB.  The first PAIR_TERMS_KEPT terms keep
+# their N (as an index and as a float) and log-factorials for every evaluation,
+# 24 bytes a term: 2^23 bytes (8.4 MB); the blocks past them are formed again at
+# each evaluation.  An evaluation takes PAIR_BLOCK to twice that many terms a
+# numpy pass, with a few doubles of temporaries a term (a likelihood of 1.4e7
+# terms peaks at 2.4 MB).  A pass's arrays, 128 to 256 KB each, stay in cache:
+# passes of 2^16 terms made one evaluation of 5.6e6 terms about 1.6 times slower.
+MAX_PAIR_TERMS = 1 << 24
 PAIR_TERMS_KEPT = (1 << 23) // 24
+PAIR_BLOCK = 1 << 14
 # exp of an argument below about -708 is subnormal or 0 and some 20 times slower
 # to form; a term that far below its pair's largest adds under 1e-304 of it.
 _LOG_TINY = -700.0

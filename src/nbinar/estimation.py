@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    MAX_PAIR_TERMS,
     ParameterError,
     _BinomNBPairs,
     _check_real,
@@ -32,7 +33,7 @@ from .distributions import (
     _trigamma_shift,
     nb_central_moments,
 )
-from .process import MAX_PAIR_TERMS, Series
+from .process import Series
 from .thinning import ModelParams, g_central_moments, h_fold
 
 __all__ = [

@@ -26,7 +26,6 @@ import numpy as np
 from . import estimation
 from .distributions import ParameterError, _check_count, nb_central_moments
 from .estimation import (
-    CovMatrices,
     DegenerateSeriesError,
     MeanEstimates,
     cls_means,
@@ -142,15 +141,6 @@ CSV_COLUMNS = ("estimator", "n", "replicate", "alpha_hat", "mu_eps_hat",
                "mu_hat", "sigma_g2_hat", "sigma_eps2_hat", "r_hat", "flags")
 
 _FLOAT_COLUMNS = CSV_COLUMNS[3:-1]
-
-
-def predicted_cov_at(point: tuple) -> CovMatrices | None:
-    """Predicted covariances at a fitted (alpha, mu, r), or None where the
-    point lies outside the parameter domain or the moments overflow."""
-    try:
-        return predicted_cov(ModelParams(*point))
-    except (ParameterError, ValueError, OverflowError):
-        return None
 
 
 class EmptyReportError(RuntimeError):
@@ -269,11 +259,10 @@ def _fit_row(method: str, series: Series, n: int, rep: int) -> dict:
 
 
 def _replicate(task) -> list:
-    alpha, mu, r, n, rep, master_seed, estimators = task
-    p = ModelParams(alpha=alpha, mu=mu, r=r)
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(n, rep)))
-    series = simulate(p, n + 1, rng)
-    return [_fit_row(method, series, n, rep) for method in estimators]
+    cfg, n, rep = task
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(n, rep)))
+    series = simulate(cfg.params, n + 1, rng)
+    return [_fit_row(method, series, n, rep) for method in cfg.estimators]
 
 
 def _worker_count() -> int:
@@ -294,9 +283,7 @@ def _worker_count() -> int:
 def run_experiment(cfg: MCConfig) -> MCReport:
     """Run every (n, replicate) cell, aggregate, and write outputs if the
     config names an output path."""
-    tasks = [(cfg.params.alpha, cfg.params.mu, cfg.params.r, n, rep,
-              cfg.master_seed, cfg.estimators)
-             for n in sorted(cfg.n_grid) for rep in range(cfg.replicates)]
+    tasks = [(cfg, n, rep) for n in sorted(cfg.n_grid) for rep in range(cfg.replicates)]
     workers = min(_worker_count(), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))

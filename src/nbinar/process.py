@@ -51,10 +51,6 @@ __all__ = [
 MAX_STATE = 5000  # the cap of ``default_max_state``
 # most cells one ``transition_rows`` call may fill: a table on 0..MAX_STATE (200 MB) fits
 MAX_CELLS = (MAX_STATE + 1) ** 2
-# most terms a likelihood may sum, sum of min(i, j) + 1 over its distinct
-# transitions (i, j): about 0.15 s an evaluation, and a log-factorial table of
-# at most twice as many doubles, 270 MB, next to the 8.4 MB of kept terms
-MAX_PAIR_TERMS = 1 << 24
 
 
 @dataclass

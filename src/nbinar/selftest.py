@@ -25,6 +25,7 @@ from .distributions import (
 from .estimation import predicted_cov
 from .process import simulate, transition_prob, transition_rows, transition_table
 from .thinning import (
+    AltParams,
     ModelParams,
     g_central_moments,
     g_pgf,
@@ -120,10 +121,14 @@ def _h_fold_identities():
         a = star_to_odot(p)
         for h in range(1, 8):
             hp = h_fold(p, h)
-            q_formula = p.r / (p.r + (1.0 - p.alpha**h) * p.mu)
-            for got, want in ((hp.beta_h, hp.alpha_h * hp.q_tilde_h),
-                              (1.0 - (1.0 - hp.beta_h) * hp.theta, hp.q_tilde_h),
-                              (hp.q_tilde_h, q_formula)):
+            # the paper's (beta, theta) forms, against h_fold's (alpha, mu, r) ones
+            beta_form = a.beta**h * (1.0 - a.theta) / ((1.0 - (1.0 - a.beta) * a.theta)**h
+                                                        - a.beta**h * a.theta)
+            back = odot_to_star(AltParams(hp.beta_h, hp.theta, p.r))
+            for got, want in ((hp.beta_h, beta_form),
+                              (back.alpha, p.alpha**h),
+                              (back.mu, p.mu),
+                              (1.0 - (1.0 - hp.beta_h) * hp.theta, hp.q_tilde_h)):
                 worst_bridge = _worst(worst_bridge, abs(got - want) / want)
             for s in S_GRID:
                 composed = s

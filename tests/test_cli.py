@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from nbinar import (
     estimation,
     selftest,
     simulate,
+    thinning,
     transition_prob,
     transition_table,
     write_series,
@@ -347,6 +349,72 @@ def test_cached_parser_calls_the_current_command_function(monkeypatch):
     assert main(["selftest"]) == 7
 
 
+# refusals made before any work runs: argv, exit code and part of the message;
+# each argv names the files that ``refusal_files`` writes
+REFUSALS = [
+    pytest.param(["transition", *BASE, "--table", "5"], 2, "--table requires --out",
+                 id="table-without-out"),
+    pytest.param(["transition", *BASE], 2, "provide --i and --j, or --table J",
+                 id="transition-without-a-cell"),
+    pytest.param(["estimate", "--in", "{series}", "--method", "cls", "--known-alpha", "0.5",
+                  "--known-mueps", "1"], 2, "apply to --method cls-var only",
+                 id="known-means-with-cls"),
+    pytest.param(["estimate", "--in", "{nine}", "--method", "cml"], 2,
+                 "at least 10 observations", id="cml-on-9-observations"),
+    pytest.param(["estimate", "--in", "{empty}", "--method", "cls"], 3, "is empty",
+                 id="empty-series-file"),
+    pytest.param(["estimate", "--in", "{no_x}", "--method", "cls"], 3, "column named 'x'",
+                 id="csv-without-x"),
+    pytest.param(["mc", "--config", "{missing}"], 3, "cannot read config",
+                 id="missing-config"),
+    pytest.param(["mc", "--config", "{not_json}"], 2, "not valid JSON",
+                 id="config-not-json"),
+    pytest.param(["mc", "--config", "{no_output}"], 2, "must set output_path",
+                 id="config-without-output-path"),
+]
+
+
+@pytest.fixture
+def refusal_files(tmp_path):
+    config = {"alpha": 0.5, "mu": 2.0, "r": 1.0, "n_grid": [50], "replicates": 2,
+              "estimators": ["cls"], "master_seed": 1}
+    files = {"series": "1\n2\n1\n2\n1\n", "nine": "".join(f"{v}\n" for v in range(9)),
+             "empty": "", "no_x": "t,y\n0,1\n1,2\n", "not_json": "{alpha: 0.5",
+             "no_output": json.dumps(config)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in [*files, "missing"]}
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS)
+def test_refusals_exit_with_a_message(capsys, monkeypatch, tmp_path, refusal_files,
+                                      argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(**refusal_files) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(refusal_files.keys() - {"missing"})
+
+
+def test_estimate_cls_var_outside_the_domain_is_cov_unavailable(tmp_path, capsys):
+    # alpha_hat = -0.31 with r_hat = 8.7: no covariance at a point outside the domain
+    series_path = tmp_path / "s.txt"
+    write_series(series_path, Series(np.array([5, 12, 8, 0, 11, 10, 12, 2, 1, 12, 0, 8])))
+    code, out = run(capsys, ["estimate", "--in", str(series_path), "--method", "cls-var"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["estimates"]["alpha_hat"] < 0 and doc["estimates"]["r_hat"] > 0
+    assert doc["flags"] == ["out-of-range", "cov-unavailable"]
+    assert doc["predicted_cov"] is None
+
+
+@pytest.mark.parametrize("method", ["cls", "yw", "cls-var"])
+def test_fit_row_of_a_constant_series_is_degenerate(method):
+    row = _fit_row(method, Series(np.full(30, 4)), 29, 0)
+    assert row["flags"] == "degenerate"
+    assert all(math.isnan(row[field]) for field in CSV_COLUMNS[3:-1])
+
+
 def test_estimate_constant_series_exit_code(tmp_path):
     series_path = tmp_path / "c.txt"
     series_path.write_text("4\n4\n4\n4\n4\n")
@@ -463,6 +531,21 @@ def test_selftest_suite_fails_on_a_nan_residual(monkeypatch):
     monkeypatch.setattr(selftest, "g_central_moments", nan_variance_at_alpha_07)
     ok, detail = selftest.SUITES["stationary-variance-identity"]()
     assert not ok and "residual nan" in detail
+
+
+def test_selftest_h_fold_suite_fails_on_a_scaled_alpha_h(monkeypatch):
+    # h_fold with alpha^h scaled by 1 + 1e-9: the paper's beta_h form and the
+    # alpha^h that odot_to_star recovers catch it, and so does the semigroup
+    real = thinning.h_fold
+
+    def scaled(p, h):
+        return real(ModelParams(p.alpha * (1.0 + 1e-9) ** (1.0 / h), p.mu, p.r), h)
+
+    monkeypatch.setattr(thinning, "h_fold", scaled)
+    monkeypatch.setattr(selftest, "h_fold", scaled)
+    ok, detail = selftest.SUITES["h-fold-bridge-and-semigroup"]()
+    bridge, semigroup = map(float, re.findall(r"(?:bridge|semigroup) (\S+)", detail))
+    assert not ok and bridge > 1e-13 and semigroup > 1e-12
 
 
 def test_selftest_mutation_hook_fails(capsys):
