@@ -197,7 +197,7 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
 
 
 # A likelihood's memory, counted in ``_BinomNBPairs`` terms, min(i, j) + 1 a
-# distinct transition (i, j).  ``estimation._pairs`` refuses more than
+# distinct transition (i, j).  ``_BinomNBPairs`` refuses more than
 # MAX_PAIR_TERMS: about 0.15 s an evaluation, and a log-factorial table of at
 # most twice as many doubles, 270 MB.  The first PAIR_TERMS_KEPT terms keep
 # their N (as an index and as a float) and log-factorials for every evaluation,
@@ -301,9 +301,10 @@ def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
 
 class _BinomNBPairs:
     """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q), a b-thinning of i
-    plus an independent NB(r, q) count, at given (i, j) pairs: log P(j | i) of
-    each pair, and on request the posterior moments of N and psi(N + r) that
-    its score and Hessian need.
+    plus an independent NB(r, q) count, at given (i, j) pairs, each seen
+    ``counts`` times (once if not given; ``from_path`` groups a path's
+    transitions): log P(j | i) of each pair, and on request the posterior
+    moments of N and psi(N + r) that its score and Hessian need.
 
     The term of survivor count N <= m = min(i, j), with s = max(i, j), is
         log T_N = log i! - log N! - log (m - N)! - log (s - N)!
@@ -323,13 +324,21 @@ class _BinomNBPairs:
     so memory follows the block and the number of pairs.  Each term's N and
     its log-factorials are built here once for the first PAIR_TERMS_KEPT
     terms; an evaluation adds to them only what depends on the parameters.
-    Blocks past that budget are built again at each evaluation.  Needs r > 0.
+    Blocks past that budget are built again at each evaluation.  More than
+    MAX_PAIR_TERMS terms are refused before any is built.  Needs r > 0.
     """
 
-    def __init__(self, i, j):
+    def __init__(self, i, j, counts=None):
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        m, s = np.minimum(i, j), np.maximum(i, j)
+        m = np.minimum(i, j)
+        work = int(m.sum(dtype=float)) + m.size
+        if work > MAX_PAIR_TERMS:
+            raise ParameterError(f"the likelihood needs {work} mixture terms, sum of "
+                                 f"min(i, j) + 1 over the distinct transitions (i, j), "
+                                 f"above the budget of {MAX_PAIR_TERMS}")
+        self.counts = np.ones(m.size) if counts is None else counts.astype(float)
+        s = np.maximum(i, j)
         # the log-factorial table over the union of [0, max m] and each [s - m, s],
         # merged into disjoint runs
         lo, hi = np.append(s - m, 0), np.append(s, m.max())
@@ -377,6 +386,20 @@ class _BinomNBPairs:
             nn, x, start = self._block_terms(p0, p1, minus_log_fact)
             self.kept.append((nn, nn.astype(float), x, start))
 
+    @classmethod
+    def from_path(cls, x: np.ndarray) -> "_BinomNBPairs":
+        """The distinct transitions (i, j) of the path x, with their counts."""
+        if x.size < 2:
+            raise ParameterError("need at least 2 observations")
+        # sorted by origin, then destination: each run of equal pairs is one transition
+        order = np.lexsort((x[1:], x[:-1]))
+        i, j = x[:-1][order], x[1:][order]
+        new = np.empty(i.size, dtype=bool)
+        new[0] = True
+        new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        first = np.flatnonzero(new)
+        return cls(i[first], j[first], np.diff(first, append=i.size))
+
     def _block_terms(self, p0: int, p1: int, log_w):
         """Of the terms of pieces p0..p1: each term's N, log_w[N] - log (m - N)!
         - log (s - N)!, and each piece's first term."""
@@ -396,17 +419,20 @@ class _BinomNBPairs:
     def log_prob(self, b: float, q: float, c: float, r: float, moments: bool = False):
         """log P(j | i) of each pair; with ``moments``, also E[N], E[psi(N + r)],
         Var(N), Cov(N, psi(N + r)), Var(psi(N + r)) and E[psi'(N + r)] under
-        each pair's posterior over N."""
+        each pair's posterior over N, and psi(j + r) and psi'(j + r)."""
         n = np.arange((self.n_max if b > 0.0 else 0) + 1.0)
         log_t = _log_terms_n(n, b, q, c, r)
         if moments:
             psi, psi1 = _digamma_shift(n, r), _trigamma_shift(n, r)
+            # formed at the distinct destinations
+            at_j = (_digamma_shift(self.j_values, r)[self.j_index],
+                    _trigamma_shift(self.j_values, r)[self.j_index])
         if b == 0.0:  # alpha^h underflowed: only N = 0 is left, P(j | i) = NB(j; r, q)
             log_p = log_t[0] - log_gamma(self.j + 1.0) + _log_terms_pair(self.i, self.j, b, q, c, r)
             if not moments:
                 return log_p
             zero = np.zeros(log_p.size)
-            return log_p, zero, zero + psi[0], zero, zero, zero, zero + psi1[0]
+            return log_p, zero, zero + psi[0], zero, zero, zero, zero + psi1[0], *at_j
         log_w = log_t - self.log_fact[:n.size]  # for the blocks past the kept ones
         sums = []
         for k, (p0, p1) in enumerate(self.blocks):
@@ -453,7 +479,7 @@ class _BinomNBPairs:
                 pair_sum(share * ss_n + weight * off_n * off_n),
                 pair_sum(share * ss_n_psi + weight * off_n * off_psi),
                 pair_sum(share * ss_psi + weight * off_psi * off_psi),
-                pair_sum(share * sum_psi1))
+                pair_sum(share * sum_psi1), *at_j)
 
     @staticmethod
     def _piece_moments(x, start, lens, total, nf, psi, psi1):

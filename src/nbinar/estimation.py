@@ -24,15 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    MAX_PAIR_TERMS,
-    ParameterError,
-    _BinomNBPairs,
-    _check_real,
-    _digamma_shift,
-    _trigamma_shift,
-    nb_central_moments,
-)
+from .distributions import ParameterError, _BinomNBPairs, _check_real, nb_central_moments
 from .process import Series
 from .thinning import ModelParams, g_central_moments, h_fold
 
@@ -268,32 +260,11 @@ def predicted_cov(p: ModelParams) -> CovMatrices:
                        sigma_vars=sigma_vars)
 
 
-def _pairs(x: np.ndarray) -> tuple[_BinomNBPairs, np.ndarray]:
-    """The distinct transitions (i, j) of the series and their counts.  Their
-    work, the number of mixture terms an evaluation sums, is checked against
-    MAX_PAIR_TERMS before anything of that size is built."""
-    if x.size < 2:
-        raise ParameterError("need at least 2 observations")
-    # sorted by origin, then destination: each run of equal pairs is one transition
-    order = np.lexsort((x[1:], x[:-1]))
-    i, j = x[:-1][order], x[1:][order]
-    new = np.empty(i.size, dtype=bool)
-    new[0] = True
-    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    first = np.flatnonzero(new)
-    i, j, counts = i[first], j[first], np.diff(first, append=i.size)
-    work = int(np.minimum(i, j).sum(dtype=float)) + first.size
-    if work > MAX_PAIR_TERMS:
-        raise ParameterError(f"the likelihood needs {work} mixture terms, sum of "
-                             f"min(i, j) + 1 over the distinct transitions (i, j), "
-                             f"above the budget of {MAX_PAIR_TERMS}")
-    return _BinomNBPairs(i, j), counts.astype(float)
-
-
-def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: bool):
-    """The log-likelihood at p, with ``score`` its gradient and Hessian in
-    t = (logit alpha, log mu, log r) (else None, None), and the number of
-    transitions whose log P is not finite.
+def _evaluate(pairs: _BinomNBPairs, p: ModelParams, score: bool):
+    """The log-likelihood of a path's transitions (``_BinomNBPairs.from_path``)
+    at p, with ``score`` its gradient and Hessian in t = (logit alpha, log mu,
+    log r) (else None, None), and the number of transitions whose log P is
+    not finite.
 
     With D = r + (1 - alpha) mu, q = r / D and c = (1 - alpha) mu / D, the
     term of survivor count N of a transition (i, j) is, less data-only parts,
@@ -305,9 +276,9 @@ def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: b
     identity), and its Hessian the posterior mean of their Hessians plus the
     posterior covariance of their gradients (Louis 1982):
         Var(N) dL dL' - r Cov(N, psi) (dL e_3' + e_3 dL') + r^2 Var(psi) e_3 e_3'.
-    Summed over the transitions, these need only the sums of E[N], E[psi],
-    E[psi'] and the three posterior (co)variances, which the kernel forms
-    about each piece's own means.
+    Summed over the transitions, these need only the sums of psi(j + r),
+    psi'(j + r), E[N], E[psi], E[psi'] and the three posterior (co)variances,
+    which the kernel forms about each piece's own means.
     """
     hp = h_fold(p, 1)
     q, c, r, alpha, mu = hp.q_tilde_h, hp.qbar_h, p.r, p.alpha, p.mu
@@ -315,15 +286,15 @@ def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: b
         log_p = pairs.log_prob(hp.beta_h, q, c, r)
     else:
         log_p, *moments = pairs.log_prob(hp.beta_h, q, c, r, moments=True)
+    counts = pairs.counts
     value = float(counts @ log_p)
     n_nonfinite = int(counts[~np.isfinite(log_p)].sum())
     if not score:
         return value, None, None, n_nonfinite
-    e_n, e_psi, var_n, cov_n_psi, var_psi, e_psi1 = (counts @ m for m in moments)
+    e_n, e_psi, var_n, cov_n_psi, var_psi, e_psi1, psi_j, psi1_j = (counts @ m for m in moments)
     n, n_i, n_j = counts.sum(), counts @ pairs.i, counts @ pairs.j
     # the sums of psi(j + r) - E[psi(N + r)] and of psi'(j + r) - E[psi'(N + r)]
-    psi_gap = counts @ _digamma_shift(pairs.j_values, r)[pairs.j_index] - e_psi
-    psi1_gap = counts @ _trigamma_shift(pairs.j_values, r)[pairs.j_index] - e_psi1
+    psi_gap, psi1_gap = psi_j - e_psi, psi1_j - e_psi1
     abar, rho, rho_r = 1.0 - alpha, mu / (r + mu), r / (r + mu)
     log_q = -math.log1p(c / q)
     d_l = np.array([1.0 + alpha, -1.0 - rho, 1.0 + rho])
@@ -352,7 +323,7 @@ def _evaluate(pairs: _BinomNBPairs, counts: np.ndarray, p: ModelParams, score: b
 def loglik(series: Series, p: ModelParams) -> float:
     """Conditional log-likelihood given X_0: sum of log one-step transition
     probabilities, each summed in log space over the distinct transitions."""
-    return _evaluate(*_pairs(series.values), p, False)[0]
+    return _evaluate(_BinomNBPairs.from_path(series.values), p, False)[0]
 
 
 def _auto_init(series: Series) -> ModelParams:
@@ -477,7 +448,7 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     as not converged.  ``n_eval`` counts the likelihood evaluations and
     ``n_iter`` the Newton steps.
     """
-    pairs, counts = _pairs(series.values)
+    pairs = _BinomNBPairs.from_path(series.values)
     if init is None:
         init = _auto_init(series)
     n_eval = n_iter = 0
@@ -485,7 +456,7 @@ def cml_fit(series: Series, init: ModelParams | None = None) -> CmlFit:
     def evaluate(t, score=True):
         nonlocal n_eval
         n_eval += 1
-        return _evaluate(pairs, counts, _box_params(t), score)
+        return _evaluate(pairs, _box_params(t), score)
 
     def fit(t):
         nonlocal n_iter

@@ -177,17 +177,20 @@ def h_fold(p: ModelParams, h: int) -> HFoldParams:
     beta = alpha q_tilde and 1 - (1-beta) theta = q_tilde, the quotient
     collapses to alpha^h (1-theta) / (1 - theta alpha^h) = alpha^h q_tilde_h,
     the bridge identity.  beta_h is formed as that product, which keeps its
-    digits where theta is near 1 (r << mu).
+    digits where theta is near 1 (r << mu).  A q_tilde_h or qbar_h below the
+    smallest normal double is refused.
     """
     hh = _check_count(h, "h", 1)
     alpha_h = p.alpha**hh
     abar_mu = (1.0 - alpha_h) * p.mu
-    q_h = p.r / (p.r + abar_mu)
-    if q_h < sys.float_info.min:  # the kernel takes log q as -log1p(qbar / q)
-        raise ParameterError(f"q_tilde_h = r / (r + (1 - alpha^h) mu) = {q_h!r} at h = {hh} "
-                             f"is below the smallest normal double {sys.float_info.min!r}")
+    q_h, qbar_h = p.r / (p.r + abar_mu), abar_mu / (p.r + abar_mu)
+    # the kernels take log q as -log1p(qbar / q), and log qbar
+    for name, value, top in (("q_tilde_h", q_h, "r"), ("qbar_h", qbar_h, "(1 - alpha^h) mu")):
+        if value < sys.float_info.min:
+            raise ParameterError(f"{name} = {top} / (r + (1 - alpha^h) mu) = {value!r} at h = "
+                                 f"{hh} is below the smallest normal double {sys.float_info.min!r}")
     return HFoldParams(h=hh, alpha_h=alpha_h, q_tilde_h=q_h, beta_h=alpha_h * q_h,
-                       theta=p.theta, qbar_h=abar_mu / (p.r + abar_mu))
+                       theta=p.theta, qbar_h=qbar_h)
 
 
 def thin_conditional_pmf(p: ModelParams, x: int, h: int, k: int) -> float:

@@ -18,6 +18,7 @@ import nbinar
 from nbinar import (
     ModelParams,
     Series,
+    TransitionTable,
     estimation,
     selftest,
     simulate,
@@ -356,6 +357,10 @@ REFUSALS = [
                  id="table-without-out"),
     pytest.param(["transition", *BASE], 2, "provide --i and --j, or --table J",
                  id="transition-without-a-cell"),
+    # qbar_h = (1 - alpha) mu / (r + (1 - alpha) mu) rounds to 0, whose log the
+    # kernel took: "math domain error"
+    pytest.param(["transition", "--alpha", "0.5", "--mu", "1e-200", "--r", "1e200", "--i", "2",
+                  "--j", "2"], 2, "qbar_h", id="qbar-underflows"),
     pytest.param(["estimate", "--in", "{series}", "--method", "cls", "--known-alpha", "0.5",
                   "--known-mueps", "1"], 2, "apply to --method cls-var only",
                  id="known-means-with-cls"),
@@ -365,6 +370,10 @@ REFUSALS = [
                  id="empty-series-file"),
     pytest.param(["estimate", "--in", "{no_x}", "--method", "cls"], 3, "column named 'x'",
                  id="csv-without-x"),
+    pytest.param(["estimate", "--in", "{abc}", "--method", "cls"], 3, "column named 'x'",
+                 id="text-without-x"),
+    pytest.param(["mc", "--config", "{array}"], 2, "must be an object",
+                 id="config-not-an-object"),
     pytest.param(["mc", "--config", "{missing}"], 3, "cannot read config",
                  id="missing-config"),
     pytest.param(["mc", "--config", "{not_json}"], 2, "not valid JSON",
@@ -379,7 +388,8 @@ def refusal_files(tmp_path):
     config = {"alpha": 0.5, "mu": 2.0, "r": 1.0, "n_grid": [50], "replicates": 2,
               "estimators": ["cls"], "master_seed": 1}
     files = {"series": "1\n2\n1\n2\n1\n", "nine": "".join(f"{v}\n" for v in range(9)),
-             "empty": "", "no_x": "t,y\n0,1\n1,2\n", "not_json": "{alpha: 0.5",
+             "empty": "", "no_x": "t,y\n0,1\n1,2\n", "abc": "abc\n1\n2\n",
+             "array": "[1, 2]", "not_json": "{alpha: 0.5",
              "no_output": json.dumps(config)}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -514,10 +524,10 @@ def test_selftest_passes(capsys, monkeypatch):
     assert "FAIL" not in out
     for name in selftest.SUITES:
         assert f"PASS {name}: " in out
-    # the reported tail mass is the maximum over every grid triple and h
-    tail = max(float(transition_table(p, None, h).tail_mass[:21].max())
-               for p in selftest.PARAM_GRID for h in (1, 2, 5))
-    assert f"max tail {tail:.3e};" in out
+    # the reported row-sum gap is the maximum over every grid triple and h
+    gap = max(float(np.abs(1.0 - transition_table(p, None, h).probs[:21].sum(axis=1)).max())
+              for p in selftest.PARAM_GRID for h in (1, 2, 5))
+    assert f"max |1 - row sum| {gap:.3e};" in out
 
 
 def test_selftest_suite_fails_on_a_nan_residual(monkeypatch):
@@ -546,6 +556,49 @@ def test_selftest_h_fold_suite_fails_on_a_scaled_alpha_h(monkeypatch):
     ok, detail = selftest.SUITES["h-fold-bridge-and-semigroup"]()
     bridge, semigroup = map(float, re.findall(r"(?:bridge|semigroup) (\S+)", detail))
     assert not ok and bridge > 1e-13 and semigroup > 1e-12
+
+
+def test_selftest_transition_law_fails_on_rows_summing_above_one(monkeypatch):
+    # rows scaled by 1 + 1e-6 sum above 1, where tail_mass reads 0
+    real = selftest.transition_table
+
+    def inflated(p, max_state=None, h=1):
+        table = real(p, max_state, h)
+        if max_state is None:  # the row-sum arm's tables, not the Chapman-Kolmogorov ones
+            table = TransitionTable(table.h, table.max_state, table.probs * (1.0 + 1e-6))
+            assert (table.tail_mass[:21] == 0.0).all()
+        return table
+
+    monkeypatch.setattr(selftest, "transition_table", inflated)
+    ok, detail = selftest.SUITES["transition-law"]()
+    gap = float(re.search(r"row sum\| (\S+);", detail).group(1))
+    assert not ok and gap > 1e-9
+    assert float(re.search(r"Chapman-Kolmogorov (\S+);", detail).group(1)) <= 1e-8
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "indefinite"])
+def test_selftest_covariance_suite_fails_on_a_corrupted_matrix(monkeypatch, corrupt):
+    # sigma_alpha_mu at alpha = 0.7, the last grid triple, with a NaN entry or
+    # its off-diagonal scaled by 10, which leaves it symmetric but indefinite
+    real = selftest.predicted_cov
+
+    def corrupted(p):
+        cov = real(p)
+        if p.alpha == 0.7:
+            mat = cov.sigma_alpha_mu.copy()
+            if corrupt == "nan":
+                mat[1, 1] = math.nan
+            else:
+                mat[0, 1] *= 10.0
+                mat[1, 0] *= 10.0
+            cov = dataclasses.replace(cov, sigma_alpha_mu=mat)
+        return cov
+
+    monkeypatch.setattr(selftest, "predicted_cov", corrupted)
+    ok, detail = selftest.SUITES["covariance-structure"]()
+    lowest = float(re.search(r"\|entry\| (\S+) ", detail).group(1))
+    assert not ok and not lowest >= -1e-12
+    assert math.isnan(lowest) == (corrupt == "nan")
 
 
 def test_selftest_mutation_hook_fails(capsys):

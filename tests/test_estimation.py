@@ -25,7 +25,8 @@ from nbinar import (
     yw_means,
 )
 from nbinar import distributions, estimation
-from nbinar.estimation import _evaluate, _pairs
+from nbinar.distributions import _BinomNBPairs
+from nbinar.estimation import _evaluate
 
 from conftest import WIDE_TRIPLES, models, mp_g_moments, mp_nb_moments, mp_relative_error
 
@@ -109,6 +110,14 @@ def test_yw_means_hand_values():
 def test_yw_means_degenerate():
     with pytest.raises(DegenerateSeriesError):
         yw_means(Series(np.array([4, 4, 4, 4])))
+
+
+def test_short_series_are_refused():
+    # Yule-Walker needs a lag-1 product beside the variance, the likelihood one transition
+    with pytest.raises(ParameterError, match="need at least 3 observations"):
+        yw_means(Series(np.array([1, 2])))
+    with pytest.raises(ParameterError, match="need at least 2 observations"):
+        loglik(Series(np.array([3])), P_HAND)
 
 
 def test_yw_means_near_independence():
@@ -304,6 +313,11 @@ def test_loglik_far_transition_matches_mpmath():
     assert_allclose(value, want, rtol=1e-14)
 
 
+def test_loglik_where_qbar_underflows_is_refused():
+    with pytest.raises(ParameterError, match="qbar_h"):
+        loglik(Series(np.array([0, 0, 1, 0])), ModelParams(0.5, 1e-200, 1e200))
+
+
 @pytest.mark.parametrize("block", [distributions.PAIR_BLOCK, 4])
 def test_loglik_where_beta_underflows_is_the_sum_of_transition_probs(monkeypatch, block):
     # at alpha = 5e-324, beta = alpha q rounds to 0 and only the N = 0 term of
@@ -316,7 +330,7 @@ def test_loglik_where_beta_underflows_is_the_sum_of_transition_probs(monkeypatch
         want = sum(math.log(transition_prob(p, i, j)) for i, j in zip(x[:-1], x[1:]))
         assert_allclose(want, -16.205053290948, rtol=1e-12)
         assert_allclose(loglik(Series(x), p), want, rtol=1e-14)
-        value, grad, hess, _ = _evaluate(*_pairs(x), p, True)
+        value, grad, hess, _ = _evaluate(_BinomNBPairs.from_path(x), p, True)
         assert_allclose(value, want, rtol=1e-14)
         assert np.isfinite(grad).all() and np.isfinite(hess).all()
 
@@ -327,16 +341,16 @@ def test_loglik_and_score_are_the_same_summed_in_blocks_and_pieces(monkeypatch):
     # kept terms, the first blocks are built once and the rest at each evaluation
     series = Series(np.array([0, 7, 3, 12, 12, 5, 30, 0, 2, 9, 40, 38]))
     p = ModelParams(0.7, 4.0, 2.5)
-    want = _evaluate(*_pairs(series.values), p, True)
+    want = _evaluate(_BinomNBPairs.from_path(series.values), p, True)
     monkeypatch.setattr(distributions, "PAIR_BLOCK", 4)
     for kept in (distributions.PAIR_TERMS_KEPT, 20):
         monkeypatch.setattr(distributions, "PAIR_TERMS_KEPT", kept)
-        pairs, counts = _pairs(series.values)
-        assert len(pairs.blocks) > 3 and pairs.piece_pair.size > counts.size
+        pairs = _BinomNBPairs.from_path(series.values)
+        assert len(pairs.blocks) > 3 and pairs.piece_pair.size > pairs.counts.size
         assert 0 < len(pairs.kept) <= len(pairs.blocks)
         assert (len(pairs.kept) < len(pairs.blocks)) == (kept == 20)
         for _ in range(2):  # the kept blocks serve every evaluation
-            got = _evaluate(pairs, counts, p, True)
+            got = _evaluate(pairs, p, True)
             assert_allclose(got[0], want[0], rtol=1e-14)
             assert_allclose(got[1], want[1], rtol=1e-12)
 
@@ -364,18 +378,18 @@ def test_loglik_memory_stays_within_the_kept_terms_budget():
     np.array([4_000_000_003, 0, 4_000_000_001, 2, 4_000_000_003, 0, 1, 4_000_000_001, 2]),
 ], ids=["random", "length-2", "near-4e9"])
 def test_pairs_are_numpy_uniques_distinct_transitions(x):
-    pairs, counts = _pairs(Series(x).values)
+    pairs = _BinomNBPairs.from_path(Series(x).values)
     want, want_counts = np.unique(np.column_stack([x[:-1], x[1:]]), axis=0,
                                   return_counts=True)
     assert_array_equal(pairs.i, want[:, 0])
     assert_array_equal(pairs.j, want[:, 1])
-    assert_array_equal(counts, want_counts)
+    assert_array_equal(pairs.counts, want_counts)
 
 
 @pytest.mark.parametrize("triple", [(0.5, 2.0, 1.0), (0.9, 50.0, 0.5), (0.95, 10.0, 5.0)])
 def test_loglik_score_matches_central_differences(triple):
     series = simulate(ModelParams(*triple), 300, np.random.default_rng(41))
-    pairs, counts = _pairs(series.values)
+    pairs = _BinomNBPairs.from_path(series.values)
     # at a point off the optimum, so that no coordinate of the score is near 0
     alpha, mu, r = triple[0] * 0.9, triple[1] * 1.2, triple[2] * 0.8
     t = np.array([math.log(alpha / (1.0 - alpha)), math.log(mu), math.log(r)])
@@ -384,7 +398,7 @@ def test_loglik_score_matches_central_differences(triple):
         return loglik(series, ModelParams(1.0 / (1.0 + math.exp(-t[0])),
                                           math.exp(t[1]), math.exp(t[2])))
 
-    value, score, _, _ = _evaluate(pairs, counts, ModelParams(alpha, mu, r), True)
+    value, score, _, _ = _evaluate(pairs, ModelParams(alpha, mu, r), True)
     h = 1e-5
     central = [(at(t + h * e) - at(t - h * e)) / (2.0 * h) for e in np.eye(3)]
     # the differences carry about 1e-16 |loglik| / h of rounding and h^2 of truncation
@@ -398,18 +412,45 @@ def test_loglik_hessian_matches_central_differences_of_the_score(triple):
     # Louis' identity, at each series' generating triple; r = 300 takes the
     # asymptotic forms of log Gamma, psi and psi' (r >= 100)
     p = ModelParams(*triple)
-    pairs, counts = _pairs(simulate(p, 300, np.random.default_rng(43)).values)
+    pairs = _BinomNBPairs.from_path(simulate(p, 300, np.random.default_rng(43)).values)
     t = np.array([math.log(p.alpha / (1.0 - p.alpha)), math.log(p.mu), math.log(p.r)])
 
     def score_at(t):
-        return _evaluate(pairs, counts, estimation._box_params(t), True)[1]
+        return _evaluate(pairs, estimation._box_params(t), True)[1]
 
-    _, _, hess, _ = _evaluate(pairs, counts, p, True)
+    _, _, hess, _ = _evaluate(pairs, p, True)
     h = 1e-5
     central = np.array([(score_at(t + h * e) - score_at(t - h * e)) / (2.0 * h)
                         for e in np.eye(3)])
     assert_array_equal(hess, hess.T)
     assert_allclose(hess, central, rtol=1e-6, atol=1e-8 * np.abs(hess).max())
+
+
+def test_newton_leaves_a_start_with_a_non_finite_score():
+    point = (-10.0, np.array([1.0, math.nan, 0.0]), -np.eye(3), 0)
+    t = np.zeros(3)
+
+    def evaluate(t):
+        raise AssertionError("a non-finite start is not stepped from")
+
+    got_t, got_point, steps, decrement = estimation._newton(evaluate, t, point)
+    assert got_t is t and got_point is point and steps == 0 and decrement is None
+
+
+def test_newton_keeps_a_start_that_meets_its_rule_where_no_step_rises():
+    # a flat likelihood with a small score: the start's decrement 1e-8 is below
+    # 2e-12 |loglik| = 2e-6, and its step does not raise the likelihood
+    point = (-1e6, np.array([1e-4, 0.0, 0.0]), -np.eye(3), 0)
+    trials = []
+
+    def evaluate(t):
+        trials.append(t)
+        return point
+
+    t = np.zeros(3)
+    got_t, got_point, steps, decrement = estimation._newton(evaluate, t, point)
+    assert got_t is t and got_point is point and steps == 0
+    assert decrement == pytest.approx(1e-8, rel=1e-12) and len(trials) == 1
 
 
 def test_cml_fit_cannot_worsen_truth_start():
@@ -429,9 +470,9 @@ def test_cml_fit_cannot_worsen_truth_start():
 def test_cml_fit_reports_a_value_it_computed_and_counts_what_it_computed(monkeypatch, series):
     calls = []
 
-    def counted(pairs, counts, p, score):
+    def counted(pairs, p, score):
         calls.append((p, score))
-        return _evaluate(pairs, counts, p, score)
+        return _evaluate(pairs, p, score)
 
     monkeypatch.setattr(estimation, "_evaluate", counted)
     fit = cml_fit(series)
@@ -461,7 +502,7 @@ def test_cml_fit_stops_at_a_maximum_by_its_decrement_rule(seed, size, max_eval):
     t = np.array([math.log(fit.params.alpha / (1.0 - fit.params.alpha)),
                   math.log(fit.params.mu), math.log(fit.params.r)])
     assert np.all(np.abs(t) < estimation._SEARCH_BOX)  # every coordinate is free
-    value, grad, hess, _ = _evaluate(*_pairs(series.values), fit.params, True)
+    value, grad, hess, _ = _evaluate(_BinomNBPairs.from_path(series.values), fit.params, True)
     assert value == fit.loglik
     np.linalg.cholesky(-hess)  # -H is positive definite
     assert grad @ np.linalg.solve(-hess, grad) <= estimation._DECREMENT_TOL * abs(value)

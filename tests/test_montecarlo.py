@@ -220,6 +220,14 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert len(doc["blocks"]) == 2
 
 
+def test_report_without_output_path_is_not_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = run_experiment(small_config())
+    with pytest.raises(ParameterError, match="no output_path"):
+        report.write()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_experiment_cml_row_fields():
     cfg = small_config(estimators=("cml",), n_grid=(60,))
     report = run_experiment(cfg)

@@ -764,6 +764,13 @@ def test_read_series_csv_column(tmp_path):
     assert np.array_equal(read_series(path).values, [4, 5, 6])
 
 
+def test_read_series_one_column_csv(tmp_path):
+    # a first line with no comma that is not a count is read as a CSV header
+    path = tmp_path / "series.csv"
+    path.write_text("x\n4\n5\n6\n")
+    assert np.array_equal(read_series(path).values, [4, 5, 6])
+
+
 def test_read_series_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nfoo\n")

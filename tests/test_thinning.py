@@ -49,6 +49,17 @@ def test_h_fold_where_q_tilde_underflows_raises():
         h_fold(ModelParams(1e-300, 1e300, 1e-300), 1)
 
 
+@pytest.mark.parametrize("p, h", [
+    (ModelParams(0.5, 1e-200, 1e200), 1),  # (1 - alpha) mu / r = 5e-401 rounds to 0
+    (ModelParams(5e-324, 5e-324, 1.0), 1),  # 5e-324, a subnormal of one bit
+    (ModelParams(0.5, 5e-324, 1e-15), 50),  # 4.9e-309, subnormal at h = 50 only
+])
+def test_h_fold_where_qbar_is_below_the_smallest_normal_double_raises(p, h):
+    # the kernels take log qbar_h
+    with pytest.raises(ParameterError, match=r"qbar_h .* smallest normal double"):
+        h_fold(p, h)
+
+
 def test_star_to_odot_hand_values():
     a = star_to_odot(ModelParams(0.5, 2.0, 1.0))
     assert_allclose([a.beta, a.theta], [0.25, 2.0 / 3.0], rtol=1e-15)
