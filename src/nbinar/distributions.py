@@ -110,9 +110,9 @@ class NBParams:
 def _nb_log_pmf(params: NBParams, k):
     """log P(X = k) at a count or an array of counts.  log q = -log1p(mu/r) and
     log(1 - q) = log theta = -log1p(r/mu) keep their digits at either end of
-    (0, 1), and log Gamma(k + r) - log Gamma(r) (``_log_gamma_shift``) at large r."""
+    (0, 1), and log Gamma(k + r) - log Gamma(r) (``_gamma_shift``) at large r."""
     r, mu = params.r, params.mu
-    return (_log_gamma_shift(k, r) - log_gamma(k + 1.0) - _log_gamma_shift(0.0, r)
+    return (_gamma_shift(k, r, 0) - log_gamma(k + 1.0) - _gamma_shift(0.0, r, 0)
             - r * math.log1p(mu / r) - k * math.log1p(r / mu))
 
 
@@ -196,10 +196,12 @@ def nb_support_bound(params: NBParams, tol: float) -> int:
     return hi
 
 
-# A likelihood's memory, counted in ``_BinomNBPairs`` terms, min(i, j) + 1 a
-# distinct transition (i, j).  ``_BinomNBPairs`` refuses more than
-# MAX_PAIR_TERMS: about 0.15 s an evaluation, and a log-factorial table of at
-# most twice as many doubles, 270 MB.  The first PAIR_TERMS_KEPT terms keep
+# The mixture's memory, counted in terms, min(i, j) + 1 a transition (i, j).
+# Both of its users refuse more than MAX_PAIR_TERMS before forming any term:
+# ``_binom_nb_cell`` for one cell, which at the budget takes about 2 s and
+# peaks at 512 MiB, and ``_BinomNBPairs`` for a likelihood's distinct
+# transitions together, about 0.15 s an evaluation, with a log-factorial table
+# of at most twice as many doubles, 270 MB.  The first PAIR_TERMS_KEPT terms keep
 # their N (as an index and as a float) and log-factorials for every evaluation,
 # 24 bytes a term: 2^23 bytes (8.4 MB); the blocks past them are formed again at
 # each evaluation.  An evaluation takes PAIR_BLOCK to twice that many terms a
@@ -212,45 +214,6 @@ PAIR_BLOCK = 1 << 14
 # exp of an argument below about -708 is subnormal or 0 and some 20 times slower
 # to form; a term that far below its pair's largest adds under 1e-304 of it.
 _LOG_TINY = -700.0
-
-
-# From this r on, differences of log Gamma(x + r) and psi(x + r) over x come
-# from their asymptotic series, whose first omitted terms are below 1e-18 there.
-_R_ASYMPTOTIC = 100.0
-
-
-def _stirling_tail(z):
-    """log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 for z >= 100:
-    1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7)."""
-    w = 1.0 / (z * z)
-    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - w / 1680.0) * w) * w) / z
-
-
-def _log_gamma_shift(x, r: float):
-    """log Gamma(x + r), less a constant in r alone, for x >= 0.
-
-    At large r, log Gamma(x + r) is a large number whose differences over x
-    lose their digits.  There it is formed as log Gamma(x + r) - log Gamma(r)
-    = (x + r - 1/2) log(1 + x/r) + x (log r - 1) + S(x + r) - S(r), S the
-    Stirling remainder; every term but the last is positive.
-    """
-    if r < _R_ASYMPTOTIC:
-        return log_gamma(x + r)
-    z = x + r
-    return (z - 0.5) * np.log1p(x / r) + x * (math.log(r) - 1.0) \
-        + (_stirling_tail(z) - _stirling_tail(r))
-
-
-def _digamma_shift(x, r: float):
-    """psi(x + r), less a constant in r alone, for x >= 0: at large r,
-    psi(x + r) - psi(r) from psi(z) = log z - 1/(2z) - 1/(12z^2) + 1/(120z^4)
-    - 1/(252z^6), with the first three differences formed without cancelling."""
-    if r < _R_ASYMPTOTIC:
-        return digamma(x + r)
-    z = x + r
-    w, v = 1.0 / (z * z), 1.0 / (r * r)
-    return np.log1p(x / r) + x / (2.0 * z * r) + x * (z + r) * w * v / 12.0 \
-        + ((1.0 / 120.0 - w / 252.0) * w * w - (1.0 / 120.0 - v / 252.0) * v * v)
 
 
 def _trigamma(z):
@@ -270,17 +233,27 @@ def _trigamma(z):
     return out
 
 
-def _trigamma_shift(x, r: float):
-    """psi'(x + r), less a constant in r alone, for x >= 0: at large r,
-    psi'(x + r) - psi'(r) from the series of ``_trigamma``, with the first
-    three differences formed without cancelling."""
+# From this r on, log Gamma(z) = (z - 1/2) log z - z + log(2 pi) / 2 + sum of
+# a z^-p over (p, a) in _STIRLING, whose first omitted term is below 1e-18 there
+_R_ASYMPTOTIC = 100.0
+_STIRLING = ((1, 1.0 / 12.0), (3, -1.0 / 360.0), (5, 1.0 / 1260.0), (7, -1.0 / 1680.0))
+
+
+def _gamma_shift(x, r: float, k: int):
+    """log Gamma, psi or psi' (k = 0, 1, 2) at x + r, less a constant in r alone,
+    for x >= 0.  At large r, whose differences over x would lose their digits,
+    the k-th derivative of Stirling's series at z = x + r less its value at r:
+    each z^-p - r^-p as r^-p expm1(-p log1p(x/r)), and a leading term that does
+    not cancel, (z - 1/2) log1p(x/r) + x (log r - 1) at k = 0 and log1p(x/r) at
+    k = 1; the other derivatives of (z - 1/2) log z - z are powers of z."""
     if r < _R_ASYMPTOTIC:
-        return _trigamma(x + r)
-    z = x + r
-    w, v, zr = 1.0 / (z * z), 1.0 / (r * r), z * r
-    return -x / zr - x * (z + r) * w * v / 2.0 - x * (z * z + zr + r * r) * w * v / (6.0 * zr) \
-        - ((1.0 / 30.0 - (1.0 / 42.0 - w / 30.0) * w) * w * w / z
-           - (1.0 / 30.0 - (1.0 / 42.0 - v / 30.0) * v) * v * v / r)
+        return (log_gamma, digamma, _trigamma)[k](x + r)
+    log_ratio = np.log1p(x / r)
+    lead, powers = [((x + r - 0.5) * log_ratio + x * (math.log(r) - 1.0), []),
+                    (log_ratio, [(1, -0.5)]),
+                    (0.0, [(1, 1.0), (2, 0.5)])][k]
+    powers += [(p + k, a * (-1) ** k * math.prod(range(p, p + k))) for p, a in _STIRLING]
+    return lead + sum(a * r ** -p * np.expm1(-p * log_ratio) for p, a in reversed(powers))
 
 
 def _log_terms_n(n, b: float, q: float, c: float, r: float):
@@ -289,13 +262,13 @@ def _log_terms_n(n, b: float, q: float, c: float, r: float):
     N = 0 may be given."""
     log_q = -math.log1p(c / q)  # keeps its digits where q is near 1
     slope = math.log(b) - math.log1p(-b) + log_q - math.log(c) if b > 0.0 else 0.0
-    return n * slope - _log_gamma_shift(n, r)
+    return n * slope - _gamma_shift(n, r, 0)
 
 
 def _log_terms_pair(i, j, b: float, q: float, c: float, r: float):
     """The parts of log T_N that vary with the pair and the parameters only:
     log Gamma(j + r) + i log(1 - b) + r log q + j log c."""
-    return (_log_gamma_shift(j, r) + i * math.log1p(-b) - r * math.log1p(c / q)
+    return (_gamma_shift(j, r, 0) + i * math.log1p(-b) - r * math.log1p(c / q)
             + j * math.log(c))
 
 
@@ -318,8 +291,8 @@ class _BinomNBPairs:
     second derivatives are the posterior mean of the terms' second derivatives
     plus the posterior covariance of their first ones (Louis 1982), which need
     E[psi'(N + r)] and the variances and covariance of N and psi(N + r).
-    log Gamma, psi and psi' are taken less a constant in r (``_log_gamma_shift``,
-    ``_digamma_shift``, ``_trigamma_shift``), which cancels from every difference.
+    log Gamma, psi and psi' are taken less a constant in r (``_gamma_shift``),
+    which cancels from every difference.
     The terms are formed about PAIR_BLOCK at a time, a longer pair in pieces,
     so memory follows the block and the number of pairs.  Each term's N and
     its log-factorials are built here once for the first PAIR_TERMS_KEPT
@@ -423,10 +396,10 @@ class _BinomNBPairs:
         n = np.arange((self.n_max if b > 0.0 else 0) + 1.0)
         log_t = _log_terms_n(n, b, q, c, r)
         if moments:
-            psi, psi1 = _digamma_shift(n, r), _trigamma_shift(n, r)
+            psi, psi1 = _gamma_shift(n, r, 1), _gamma_shift(n, r, 2)
             # formed at the distinct destinations
-            at_j = (_digamma_shift(self.j_values, r)[self.j_index],
-                    _trigamma_shift(self.j_values, r)[self.j_index])
+            at_j = (_gamma_shift(self.j_values, r, 1)[self.j_index],
+                    _gamma_shift(self.j_values, r, 2)[self.j_index])
         if b == 0.0:  # alpha^h underflowed: only N = 0 is left, P(j | i) = NB(j; r, q)
             log_p = log_t[0] - log_gamma(self.j + 1.0) + _log_terms_pair(self.i, self.j, b, q, c, r)
             if not moments:
@@ -508,10 +481,14 @@ class _BinomNBPairs:
 def _binom_nb_cell(i: int, j: int, b: float, q: float, c: float, r: float) -> float:
     """P(j | i) = sum_N Binom(N; i, b) NB(j - N; N + r, q) at one pair: the
     terms of ``_BinomNBPairs`` with their log-factorials formed directly,
-    O(min(i, j)).  At b = 0 (alpha^h underflowed) no count survives the
-    thinning, and only the N = 0 term is left."""
+    O(min(i, j)), refused past MAX_PAIR_TERMS terms.  At b = 0 (alpha^h
+    underflowed) no count survives the thinning, and only the N = 0 term is left."""
     m, s = min(i, j), max(i, j)
-    n = np.arange((m if b > 0.0 else 0) + 1.0)
+    n_max = m if b > 0.0 else 0
+    if n_max >= MAX_PAIR_TERMS:
+        raise ParameterError(f"the cell ({i}, {j}) needs {n_max + 1} mixture terms, "
+                             f"min(i, j) + 1, above the budget of {MAX_PAIR_TERMS}")
+    n = np.arange(n_max + 1.0)
     x = _log_terms_n(n, b, q, c, r) - log_gamma(n + 1.0) - log_gamma(m - n + 1.0) \
         - log_gamma(s - n + 1.0)
     top = x.max()

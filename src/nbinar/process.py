@@ -354,4 +354,9 @@ def read_series(path) -> Series:
         values = [int(row["x"]) for row in reader]
     else:
         values = list(map(int, lines))
-    return Series(np.asarray(values, dtype=np.int64))
+    try:
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"series file {path} holds a count outside the int64 range "
+                         f"[-2^63, 2^63 - 1]") from None
+    return Series(values)

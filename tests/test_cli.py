@@ -372,6 +372,8 @@ REFUSALS = [
                  id="csv-without-x"),
     pytest.param(["estimate", "--in", "{abc}", "--method", "cls"], 3, "column named 'x'",
                  id="text-without-x"),
+    pytest.param(["estimate", "--in", "{past_int64}", "--method", "cls"], 3, "int64 range",
+                 id="count-past-int64"),
     pytest.param(["mc", "--config", "{array}"], 2, "must be an object",
                  id="config-not-an-object"),
     pytest.param(["mc", "--config", "{missing}"], 3, "cannot read config",
@@ -389,6 +391,7 @@ def refusal_files(tmp_path):
               "estimators": ["cls"], "master_seed": 1}
     files = {"series": "1\n2\n1\n2\n1\n", "nine": "".join(f"{v}\n" for v in range(9)),
              "empty": "", "no_x": "t,y\n0,1\n1,2\n", "abc": "abc\n1\n2\n",
+             "past_int64": "1\n9223372036854775808\n3\n",
              "array": "[1, 2]", "not_json": "{alpha: 0.5",
              "no_output": json.dumps(config)}
     for name, text in files.items():

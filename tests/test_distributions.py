@@ -27,7 +27,7 @@ from nbinar import (
     simulate,
     transition_prob,
 )
-from nbinar.distributions import _digamma_shift, _log_gamma_shift, _trigamma, _trigamma_shift
+from nbinar.distributions import _gamma_shift, _trigamma
 from nbinar.process import ma_sample, transition_rows
 from conftest import check_suite, coeff_A, coeff_B_split
 
@@ -286,21 +286,21 @@ def test_non_numbers_raise_parameter_error(call):
         call()
 
 
-@pytest.mark.parametrize("r", [0.5, 99.0, 100.0, 1e4, 7e9])
+@pytest.mark.parametrize("r", [0.5, 99.0, 100.0, 137.5, 1e4, 7e9, 1e15])
 def test_log_gamma_and_digamma_differences_match_mpmath(r):
     # the likelihood takes log Gamma(x + r) and psi(x + r) only in differences
     # over x; at large r those keep their digits.  Below r = 100 psi is taken
     # directly, and its differences keep the absolute error of psi itself
-    x = np.array([0.0, 1.0, 3.0, 50.0, 1e3, 1e5])
-    got = _log_gamma_shift(x, r)[1:] - _log_gamma_shift(x, r)[0]
-    got_psi = _digamma_shift(x, r)[1:] - _digamma_shift(x, r)[0]
+    x = np.array([0.0, 1.0, 3.0, 50.0, 1e3, 1e5, 1e9])
+    got = _gamma_shift(x, r, 0)[1:] - _gamma_shift(x, r, 0)[0]
+    got_psi = _gamma_shift(x, r, 1)[1:] - _gamma_shift(x, r, 1)[0]
     with mpmath.workdps(40):
         want = [float(mpmath.loggamma(v + r) - mpmath.loggamma(r)) for v in x[1:]]
         want_psi = [float(mpmath.digamma(v + r) - mpmath.digamma(r)) for v in x[1:]]
     assert_allclose(got, want, rtol=2e-14)
     assert_allclose(got_psi, want_psi, rtol=2e-14, atol=4e-15)
     # and psi', which the likelihood's Hessian takes in differences too
-    got_psi1 = _trigamma_shift(x, r)[1:] - _trigamma_shift(x, r)[0]
+    got_psi1 = _gamma_shift(x, r, 2)[1:] - _gamma_shift(x, r, 2)[0]
     with mpmath.workdps(40):
         want_psi1 = [float(mpmath.polygamma(1, v + r) - mpmath.polygamma(1, r)) for v in x[1:]]
     assert_allclose(got_psi1, want_psi1, rtol=1e-14)

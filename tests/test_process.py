@@ -35,7 +35,7 @@ from nbinar import (
     transition_table,
     write_series,
 )
-from nbinar import process
+from nbinar import distributions, process
 from nbinar.process import (
     MAX_CELLS,
     MAX_STATE,
@@ -533,6 +533,17 @@ def test_scalar_cell_memory_is_bounded_by_the_smaller_state():
     want = transition_rows(P_HAND, [200], 5)[0, 5]
     assert want > 0.0
     assert_allclose(transition_prob(P_HAND, 200, 5), want, rtol=1e-12)
+
+
+def test_scalar_cell_past_the_term_budget_is_refused(monkeypatch):
+    # one term budget covers a cell and a likelihood: min(i, j) + 1 = 5001 terms
+    # are refused before any is formed, where min(i, j) + 1 = 1000 still runs
+    monkeypatch.setattr(distributions, "MAX_PAIR_TERMS", 1000)
+    for cell in (lambda i: transition_prob(P_HAND, i, i),
+                 lambda i: thin_conditional_pmf(P_HAND, i, 1, i)):
+        with pytest.raises(ParameterError, match="5001 mixture terms.*budget of 1000"):
+            cell(5000)
+        assert 0.0 < cell(999) < 1.0
 
 
 def pgf_coefficient_mpmath(p, i, j, h):
